@@ -37,7 +37,6 @@ from .nets import (
     TrainConfig,
     accuracy,
     checkpoints_equal,
-    conv_reshape,
     finetune,
     forward,
     forward_batch,

@@ -9,14 +9,11 @@ rates, which print as percentages with one decimal.
 from __future__ import annotations
 
 import argparse
-import base64
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .data import load_dataset_csv
+from .data import Dataset, load_dataset_csv, make_dataset
 from .errors import DataFormatError, NumericalError, ValidationError
 from .experiment import ExperimentConfig, format_report_csv, format_report_text, run_experiment
 from .fusion import AlignmentOptions, align, fuse
@@ -31,7 +28,7 @@ from .scoring import (
     selected_set,
     write_landscape_csv,
 )
-from .serialize import load_checkpoint, save_checkpoint
+from .serialize import encode_float64, load_checkpoint, save_checkpoint
 
 
 def _fmt(x: float) -> str:
@@ -101,7 +98,6 @@ def _alignment_options(args) -> AlignmentOptions:
         solver=args.solver,
         sinkhorn_eps=args.eps,
         cost_on_aligned_inputs=not args.cost_on_raw,
-        scaling=args.scaling,
         lam=getattr(args, "lam", 0.5),
         fix_last_layer=not args.free_last_layer,
         bias_in_cost=args.bias_in_cost,
@@ -112,12 +108,7 @@ def _write_maps(result, path) -> None:
     doc = {
         "format_version": 1,
         "maps": [
-            {
-                "side": tm.side,
-                "coupling": base64.b64encode(
-                    np.ascontiguousarray(tm.matrix, dtype="<f8").tobytes()
-                ).decode("ascii"),
-            }
+            {"side": tm.side, "coupling": encode_float64(tm.matrix)}
             for tm in result.maps
         ],
         "objectives": list(result.objectives),
@@ -150,9 +141,16 @@ def _cmd_fuse(args) -> int:
     return 0
 
 
+def _load_model_data(ckpt, path) -> Dataset:
+    """Read a dataset whose class count is the model's output width, so a
+    file that lacks the highest class still matches the model."""
+    data = load_dataset_csv(path)
+    return make_dataset(data.features, data.labels, ckpt.specs[-1].out_dim)
+
+
 def _cmd_finetune(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    data = load_dataset_csv(args.data)
+    data = _load_model_data(ckpt, args.data)
     out = finetune(ckpt, data, _train_config(args))
     save_checkpoint(out, args.out)
     print(f"finetuned {args.epochs} epochs -> {args.out}")
@@ -162,7 +160,7 @@ def _cmd_finetune(args) -> int:
 
 def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    data = load_dataset_csv(args.data)
+    data = _load_model_data(ckpt, args.data)
     l, a = loss(ckpt, data), accuracy(ckpt, data)
     if args.format == "csv":
         print("loss,accuracy")
@@ -222,7 +220,6 @@ def _cmd_experiment(args) -> int:
         finetune_epochs=args.finetune_epochs,
         lam=args.lam,
         solver=args.solver,
-        scaling=args.scaling,
         output_dir=args.out_dir,
     )
     report = run_experiment(cfg)
@@ -251,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ckpt_b")
     p.add_argument("--solver", choices=["exact", "sinkhorn"], default="exact")
     p.add_argument("--eps", type=float, default=None, help="sinkhorn regularization")
-    p.add_argument("--scaling", choices=["normalized", "literal"], default="normalized")
     p.add_argument("--cost-on-raw", action="store_true",
                    help="build cost matrices from raw instead of input-aligned rows")
     p.add_argument("--free-last-layer", action="store_true",
@@ -303,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--finetune-epochs", type=int, default=defaults.finetune_epochs)
     p.add_argument("--lam", type=float, default=defaults.lam)
     p.add_argument("--solver", choices=["exact", "sinkhorn"], default=defaults.solver)
-    p.add_argument("--scaling", choices=["normalized", "literal"], default=defaults.scaling)
     p.add_argument("--out-dir", default=None)
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=_cmd_experiment)

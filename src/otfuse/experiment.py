@@ -57,7 +57,6 @@ class ExperimentConfig:
     finetune_epochs: int = 10
     lam: float = 0.5
     solver: str = "exact"
-    scaling: str = "normalized"
     output_dir: str | None = None
     num_classes: int = 5
     feature_dim: int = 8
@@ -143,7 +142,7 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> dict[str, MethodMetrics]:
     ft = TrainConfig(
         cfg.finetune_epochs, cfg.batch_size, cfg.finetune_lr, _child_seed(seed, 3)
     )
-    opts = AlignmentOptions(solver=cfg.solver, scaling=cfg.scaling, lam=cfg.lam)
+    opts = AlignmentOptions(solver=cfg.solver, lam=cfg.lam)
 
     direct = direct_average(target, broad, cfg.lam)
     aligned = fuse(align(target, broad, opts).aligned, broad, cfg.lam)
@@ -195,7 +194,7 @@ def format_report_text(report: ExperimentReport) -> str:
         f"two-domain fusion experiment: seeds={list(cfg.seeds)} "
         f"shift={cfg.domain_shift:g} train_epochs={cfg.train_epochs} "
         f"finetune_epochs={cfg.finetune_epochs} solver={cfg.solver} "
-        f"scaling={cfg.scaling} lam={cfg.lam:g}",
+        f"lam={cfg.lam:g}",
         "values are mean +- half-range over seeds",
         "",
     ]

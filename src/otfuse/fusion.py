@@ -8,11 +8,9 @@ included.  ``fuse`` blends the aligned model with B; ``direct_average`` is
 the no-alignment baseline; ``fuse_pipeline`` appends the short fine-tuning
 stage.
 
-Scaling modes: "normalized" (default) applies the doubly stochastic map
-``m * T`` so that aligning a model with itself is the identity and hidden
-unit permutations are undone exactly; "literal" keeps the raw coupling and
-its 1/m prefactors, which shrinks weights layer by layer and exists for
-comparison only.
+Each map is applied as the doubly stochastic matrix ``m * T``, so aligning
+a model with itself is the identity and hidden unit permutations are undone
+exactly.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from .transport import (
 )
 
 SOLVERS = ("exact", "sinkhorn")
-SCALINGS = ("normalized", "literal")
 
 
 @dataclass(frozen=True)
@@ -62,10 +59,7 @@ class AlignmentOptions:
 
     solver: str = "exact"
     sinkhorn_eps: float | None = None  # None -> 0.01 * mean(cost), per layer
-    sinkhorn_tol: float = 1e-9
-    sinkhorn_max_iter: int = 10000
     cost_on_aligned_inputs: bool = True
-    scaling: str = "normalized"
     lam: float = 0.5
     fix_last_layer: bool = True
     bias_in_cost: bool = False
@@ -84,8 +78,6 @@ class AlignmentResult:
 def _validate_options(opts: AlignmentOptions) -> None:
     if opts.solver not in SOLVERS:
         raise ValidationError(f"unknown solver {opts.solver!r}; expected one of {SOLVERS}")
-    if opts.scaling not in SCALINGS:
-        raise ValidationError(f"unknown scaling {opts.scaling!r}; expected one of {SCALINGS}")
     if not 0.0 <= opts.lam <= 1.0:
         raise ValidationError(f"lam must lie in [0, 1], got {opts.lam}")
 
@@ -100,18 +92,11 @@ def _check_same_architecture(a: Checkpoint, b: Checkpoint, op: str) -> None:
 def _solve_layer(cost: np.ndarray, opts: AlignmentOptions) -> OtSolution:
     if opts.solver == "exact":
         return solve_exact(cost)
-    return solve_sinkhorn(
-        cost,
-        eps=opts.sinkhorn_eps,
-        tol=opts.sinkhorn_tol,
-        max_iter=opts.sinkhorn_max_iter,
-    )
+    return solve_sinkhorn(cost, eps=opts.sinkhorn_eps)
 
 
-def _carrier(tm: TransportMap, scaling: str) -> np.ndarray:
+def _carrier(tm: TransportMap) -> np.ndarray:
     """Matrix actually multiplied into the weights for this map."""
-    if scaling == "literal":
-        return tm.matrix
     hard = hard_permutation(tm)
     return hard if hard is not None else tm.side * tm.matrix
 
@@ -127,7 +112,6 @@ def align(model_a: Checkpoint, model_b: Checkpoint, opts: AlignmentOptions = Ali
 
     num_layers = len(model_a.specs)
     prev_carrier: np.ndarray | None = None  # layer 0 input coordinates are shared
-    prev_side = 0
     aligned_layers: list[LayerWeights] = []
     maps: list[TransportMap] = []
     objectives: list[float] = []
@@ -137,12 +121,7 @@ def align(model_a: Checkpoint, model_b: Checkpoint, opts: AlignmentOptions = Ali
         wa, ba = model_a.layers[l].w, model_a.layers[l].b
         wb, bb = model_b.layers[l].w, model_b.layers[l].b
 
-        if prev_carrier is None:
-            w_hat = wa
-        elif opts.scaling == "literal":
-            w_hat = matmul(wa, prev_carrier) / prev_side
-        else:
-            w_hat = matmul(wa, prev_carrier)
+        w_hat = wa if prev_carrier is None else matmul(wa, prev_carrier)
 
         cost_rows_a = w_hat if opts.cost_on_aligned_inputs else wa
         if opts.bias_in_cost:
@@ -161,16 +140,11 @@ def align(model_a: Checkpoint, model_b: Checkpoint, opts: AlignmentOptions = Ali
             objectives.append(solution.objective)
         maps.append(tm)
 
-        carrier = _carrier(tm, opts.scaling)
-        if opts.scaling == "literal":
-            w_tilde = matmul(transpose(carrier), w_hat) / spec.out_dim
-            b_tilde = (carrier.T @ ba) / spec.out_dim
-        else:
-            w_tilde = matmul(transpose(carrier), w_hat)
-            b_tilde = carrier.T @ ba
+        carrier = _carrier(tm)
+        w_tilde = matmul(transpose(carrier), w_hat)
+        b_tilde = carrier.T @ ba
         aligned_layers.append(LayerWeights(w_tilde, b_tilde))
         prev_carrier = carrier
-        prev_side = spec.out_dim
 
     meta = CheckpointMeta(
         seed=model_a.meta.seed,

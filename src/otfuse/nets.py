@@ -242,20 +242,18 @@ def accuracy(ckpt: Checkpoint, data: Dataset) -> float:
     return accuracy_from_logits(forward_batch(ckpt, data.features), data.labels)
 
 
-def loss_gradients(ckpt: Checkpoint, data: Dataset) -> list[LayerWeights]:
-    """Backprop gradients of ``loss`` with respect to every weight and bias.
+def _backprop(specs, ws, bs, x: np.ndarray, labels: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Gradients of the mean cross-entropy as ``(gw, gb)`` per layer.
 
-    Returned as one ``LayerWeights`` of gradients per layer, in layer order.
+    Works on raw arrays and checks nothing; callers validate first.
     """
-    _check_model_data(ckpt, data)
-    x, labels = data.features, data.labels
     n = x.shape[0]
 
     pre = []  # pre-activations per layer
     acts = [x]  # post-activations, acts[0] is the input
     a = x
-    for spec, layer in zip(ckpt.specs, ckpt.layers):
-        z = a @ layer.w.T + layer.b
+    for spec, w, b in zip(specs, ws, bs):
+        z = a @ w.T + b
         pre.append(z)
         a = _activate(z, spec.activation)
         acts.append(a)
@@ -268,44 +266,54 @@ def loss_gradients(ckpt: Checkpoint, data: Dataset) -> list[LayerWeights]:
     delta[np.arange(n), labels] -= 1.0
     delta /= n  # gradient of the mean cross-entropy wrt logits
 
-    grads: list[LayerWeights] = [None] * len(ckpt.layers)  # type: ignore[list-item]
-    for i in range(len(ckpt.layers) - 1, -1, -1):
-        spec, layer = ckpt.specs[i], ckpt.layers[i]
-        if spec.activation != "identity":
-            delta = delta * _activate_grad(pre[i], spec.activation)
-        grads[i] = LayerWeights(delta.T @ acts[i], delta.sum(axis=0))
+    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(ws)  # type: ignore[list-item]
+    for i in range(len(ws) - 1, -1, -1):
+        if specs[i].activation != "identity":
+            delta = delta * _activate_grad(pre[i], specs[i].activation)
+        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
         if i > 0:
-            delta = delta @ layer.w
+            delta = delta @ ws[i]
     return grads
 
 
-def _sgd_epochs(ckpt: Checkpoint, data: Dataset, cfg: TrainConfig, rng) -> Checkpoint:
+def loss_gradients(ckpt: Checkpoint, data: Dataset) -> list[LayerWeights]:
+    """Backprop gradients of ``loss`` with respect to every weight and bias.
+
+    Returned as one ``LayerWeights`` of gradients per layer, in layer order.
+    """
+    _check_model_data(ckpt, data)
+    grads = _backprop(
+        ckpt.specs,
+        [layer.w for layer in ckpt.layers],
+        [layer.b for layer in ckpt.layers],
+        data.features,
+        data.labels,
+    )
+    return [LayerWeights(gw, gb) for gw, gb in grads]
+
+
+def _sgd_epochs(ckpt: Checkpoint, data: Dataset, cfg: TrainConfig, rng) -> tuple[LayerWeights, ...]:
+    """Minibatch SGD on copies of ``ckpt``'s weights; data is validated by
+    the caller."""
     ws = [layer.w.copy() for layer in ckpt.layers]
     bs = [layer.b.copy() for layer in ckpt.layers]
     n = data.features.shape[0]
     if cfg.batch_size < 1:
         raise ValidationError("batch_size must be positive")
-    current = ckpt
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
             order = rng.permutation(n) if cfg.shuffle else np.arange(n)
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                batch = Dataset(data.features[idx], data.labels[idx], data.num_classes)
-                grads = loss_gradients(current, batch)
-                for i, g in enumerate(grads):
-                    ws[i] -= cfg.learning_rate * g.w
-                    bs[i] -= cfg.learning_rate * g.b
-                current = Checkpoint(
-                    ckpt.specs,
-                    tuple(LayerWeights(w, b) for w, b in zip(ws, bs)),
-                    ckpt.meta,
-                )
+                grads = _backprop(ckpt.specs, ws, bs, data.features[idx], data.labels[idx])
+                for i, (gw, gb) in enumerate(grads):
+                    ws[i] -= cfg.learning_rate * gw
+                    bs[i] -= cfg.learning_rate * gb
     if not all(np.isfinite(w).all() and np.isfinite(b).all() for w, b in zip(ws, bs)):
         raise NumericalError(
             "training diverged to non-finite weights; lower the learning rate"
         )
-    return current
+    return tuple(LayerWeights(w, b) for w, b in zip(ws, bs))
 
 
 def train(specs, data: Dataset, cfg: TrainConfig) -> Checkpoint:
@@ -319,11 +327,11 @@ def train(specs, data: Dataset, cfg: TrainConfig) -> Checkpoint:
     start = init_checkpoint(specs, cfg.seed, tag="trained")
     _check_model_data(start, data)
     rng = seeded_rng(cfg.seed)
-    out = _sgd_epochs(start, data, cfg, rng)
+    layers = _sgd_epochs(start, data, cfg, rng)
     meta = CheckpointMeta(
         seed=cfg.seed, training_epochs=cfg.epochs, tag=start.meta.tag
     )
-    return make_checkpoint(out.specs, out.layers, meta)
+    return make_checkpoint(specs, layers, meta)
 
 
 def finetune(ckpt: Checkpoint, data: Dataset, cfg: TrainConfig | None = None) -> Checkpoint:
@@ -339,11 +347,11 @@ def finetune(ckpt: Checkpoint, data: Dataset, cfg: TrainConfig | None = None) ->
     if cfg.epochs == 0:
         return ckpt
     rng = seeded_rng(cfg.seed)
-    out = _sgd_epochs(ckpt, data, cfg, rng)
+    layers = _sgd_epochs(ckpt, data, cfg, rng)
     meta = replace(
         ckpt.meta, training_epochs=ckpt.meta.training_epochs + cfg.epochs
     )
-    return make_checkpoint(out.specs, out.layers, meta)
+    return make_checkpoint(ckpt.specs, layers, meta)
 
 
 def interpolate(ckpt0: Checkpoint, ckpt1: Checkpoint, alpha: float) -> Checkpoint:
@@ -365,23 +373,3 @@ def interpolate(ckpt0: Checkpoint, ckpt1: Checkpoint, alpha: float) -> Checkpoin
         tag=f"blend({ckpt0.meta.tag}|{ckpt1.meta.tag},{alpha:g})",
     )
     return make_checkpoint(ckpt0.specs, layers, meta)
-
-
-def conv_reshape(shape, flat) -> np.ndarray:
-    """Flatten a conv kernel [out_ch, in_ch, k_h, k_w] into a 2-D weight.
-
-    The result has one row per output channel; columns run over input
-    channel (major), then kernel row, then kernel column, matching the
-    row-major order of the flat input.
-    """
-    shape = tuple(int(s) for s in shape)
-    if len(shape) != 4 or any(s < 1 for s in shape):
-        raise ValidationError(f"conv shape must be 4 positive ints, got {shape}")
-    flat = np.asarray(flat, dtype=np.float64).ravel()
-    expected = int(np.prod(shape))
-    if flat.size != expected:
-        raise ValidationError(
-            f"conv data length {flat.size} does not match shape product {expected}"
-        )
-    out_ch = shape[0]
-    return flat.reshape(out_ch, shape[1] * shape[2] * shape[3])

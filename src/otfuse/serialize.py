@@ -25,7 +25,8 @@ from .nets import Checkpoint, CheckpointMeta, LayerSpec, LayerWeights, make_chec
 FORMAT_VERSION = 1
 
 
-def _encode(arr: np.ndarray) -> str:
+def encode_float64(arr: np.ndarray) -> str:
+    """Base64 of the array's little-endian float64 values in row-major order."""
     return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
 
 
@@ -53,7 +54,7 @@ def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
             {"in_dim": s.in_dim, "out_dim": s.out_dim, "activation": s.activation}
             for s in ckpt.specs
         ],
-        "layers": [{"w": _encode(l.w), "b": _encode(l.b)} for l in ckpt.layers],
+        "layers": [{"w": encode_float64(l.w), "b": encode_float64(l.b)} for l in ckpt.layers],
     }
 
 
@@ -74,6 +75,10 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
         layers_doc = doc["layers"]
     except KeyError as exc:
         raise CheckpointFormatError(f"missing checkpoint field {exc}") from exc
+    if not isinstance(specs_doc, list) or not isinstance(layers_doc, list):
+        raise CheckpointFormatError("checkpoint specs and layers must be lists")
+    if not isinstance(meta_doc, dict):
+        raise CheckpointFormatError("checkpoint meta must be an object")
     if len(specs_doc) != len(layers_doc):
         raise CheckpointFormatError(
             f"{len(specs_doc)} specs but {len(layers_doc)} weight layers",

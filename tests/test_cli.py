@@ -167,6 +167,21 @@ def test_experiment_epochs_zero_ordering(workdir, capsys):
     assert rows["aligned_avg"] <= rows["direct_avg"]
 
 
+def test_eval_and_finetune_take_classes_from_model(workdir, capsys):
+    """A file with no row of the highest class still matches a model whose
+    output width is the class count."""
+    ckpt = workdir / "model.json"
+    assert main(["train", str(workdir / "arch.json"), str(workdir / "train.csv"),
+                 "--epochs", "3", "--out", str(ckpt)]) == 0
+    top = ARCH[-1]["out_dim"] - 1
+    lines = (workdir / "held.csv").read_text().splitlines()
+    partial = workdir / "partial.csv"
+    partial.write_text("\n".join(l for l in lines if not l.endswith(f",{top}")) + "\n")
+    assert main(["eval", str(ckpt), str(partial)]) == 0
+    assert main(["finetune", str(ckpt), str(partial), "--epochs", "1",
+                 "--out", str(workdir / "tuned.json")]) == 0
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -187,6 +202,17 @@ class TestExitCodes:
         bad.write_text("{not json")
         rc = main(["eval", str(bad), str(workdir / "held.csv")])
         assert rc == 2
+
+    def test_label_beyond_model_classes_is_two(self, workdir, capsys):
+        ckpt = workdir / "model.json"
+        assert main(["train", str(workdir / "arch.json"), str(workdir / "train.csv"),
+                     "--epochs", "1", "--out", str(ckpt)]) == 0
+        bad = workdir / "bad_label.csv"
+        lines = (workdir / "held.csv").read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + f",{ARCH[-1]['out_dim']}"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["eval", str(ckpt), str(bad)]) == 2
+        assert main(["finetune", str(ckpt), str(bad), "--out", str(workdir / "t.json")]) == 2
 
     def test_shape_mismatch_is_two(self, workdir, capsys):
         rng = np.random.default_rng(0)

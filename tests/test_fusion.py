@@ -136,27 +136,6 @@ class TestAlignmentObjectives:
             assert np.abs(forward(aligned, x) - forward(a, x)).max() <= 1e-9
 
 
-class TestScalingModes:
-    def test_literal_self_alignment_shrinks_by_side_squared(self):
-        rng = np.random.default_rng(6)
-        m = random_checkpoint(rng, (LayerSpec(3, 5, "identity"),))
-        result = align(m, m, AlignmentOptions(scaling="literal"))
-        expected = m.layers[0].w / 25.0  # (T^l)^T W / m with T = I/m
-        np.testing.assert_allclose(result.aligned.layers[0].w, expected, atol=1e-15)
-
-    def test_literal_mode_not_identity_on_self(self):
-        rng = np.random.default_rng(7)
-        m = random_checkpoint(rng, three_layer_specs())
-        result = align(m, m, AlignmentOptions(scaling="literal"))
-        assert max_weight_difference(result.aligned, m) > 1e-3
-
-    def test_unknown_scaling_rejected(self):
-        rng = np.random.default_rng(8)
-        m = random_checkpoint(rng, three_layer_specs())
-        with pytest.raises(ValidationError):
-            align(m, m, AlignmentOptions(scaling="verbatim"))
-
-
 class TestAlignmentFlags:
     def test_cost_on_raw_rows_still_recovers_first_layer(self):
         rng = np.random.default_rng(9)

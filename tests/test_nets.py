@@ -1,18 +1,22 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import random_checkpoint, random_specs
-from otfuse.data import make_dataset
+from otfuse.data import make_dataset, seeded_rng
 from otfuse.errors import ValidationError
+from otfuse.experiment import ExperimentConfig, format_report_csv, run_experiment
 from otfuse.nets import (
+    Checkpoint,
+    CheckpointMeta,
     LayerSpec,
     LayerWeights,
     TrainConfig,
     accuracy,
     checkpoints_equal,
-    conv_reshape,
     finetune,
     forward,
     init_checkpoint,
@@ -291,26 +295,6 @@ class TestGradients:
             assert ok_rel / total >= 0.95
 
 
-class TestConvReshape:
-    def test_shape_arithmetic(self):
-        out = conv_reshape([4, 3, 2, 1], np.arange(24.0))
-        assert out.shape == (4, 6)
-
-    def test_tiny(self):
-        out = conv_reshape([2, 1, 1, 1], [5.0, 7.0])
-        assert np.array_equal(out, [[5.0], [7.0]])
-
-    def test_roundtrip_order(self):
-        rng = np.random.default_rng(8)
-        flat = rng.standard_normal(2 * 3 * 2 * 2)
-        out = conv_reshape([2, 3, 2, 2], flat)
-        assert np.array_equal(out.ravel(), flat)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            conv_reshape([2, 2, 2, 2], np.zeros(15))
-
-
 class TestInterpolate:
     def test_endpoints_exact(self):
         rng = np.random.default_rng(9)
@@ -328,3 +312,65 @@ class TestInterpolate:
         b = random_checkpoint(rng, (LayerSpec(2, 4, "identity"),))
         with pytest.raises(ValidationError):
             interpolate(a, b, 0.5)
+
+
+def reference_sgd(ckpt, data, cfg):
+    """Minibatch SGD written against the public API: one ``loss_gradients``
+    call per batch on a freshly built checkpoint and dataset."""
+    rng = seeded_rng(cfg.seed)
+    ws = [layer.w.copy() for layer in ckpt.layers]
+    bs = [layer.b.copy() for layer in ckpt.layers]
+    n = len(data.labels)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            current = Checkpoint(
+                ckpt.specs, tuple(LayerWeights(w, b) for w, b in zip(ws, bs)), ckpt.meta
+            )
+            batch = make_dataset(data.features[idx], data.labels[idx], data.num_classes)
+            for i, g in enumerate(loss_gradients(current, batch)):
+                ws[i] -= cfg.learning_rate * g.w
+                bs[i] -= cfg.learning_rate * g.b
+    return [LayerWeights(w, b) for w, b in zip(ws, bs)]
+
+
+class TestSgdMatchesReference:
+    SPECS = (
+        LayerSpec(3, 6, "relu"),
+        LayerSpec(6, 5, "tanh"),
+        LayerSpec(5, 4, "identity"),
+        LayerSpec(4, 3, "identity"),
+    )
+
+    @staticmethod
+    def dataset():
+        rng = np.random.default_rng(41)
+        n = 50  # batches of 16 leave a short last batch of 2
+        return make_dataset(rng.standard_normal((n, 3)), rng.integers(0, 3, n), 3)
+
+    @pytest.mark.parametrize("shuffle", [True, False])
+    def test_train(self, shuffle):
+        data = self.dataset()
+        cfg = TrainConfig(epochs=4, batch_size=16, learning_rate=0.2, seed=12, shuffle=shuffle)
+        start = init_checkpoint(self.SPECS, cfg.seed, tag="trained")
+        meta = CheckpointMeta(seed=cfg.seed, training_epochs=cfg.epochs, tag="trained")
+        expected = make_checkpoint(self.SPECS, reference_sgd(start, data, cfg), meta)
+        assert checkpoints_equal(train(self.SPECS, data, cfg), expected)
+
+    @pytest.mark.parametrize("shuffle", [True, False])
+    def test_finetune(self, shuffle):
+        data = self.dataset()
+        model = random_checkpoint(np.random.default_rng(42), self.SPECS, scale=0.5)
+        cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.05, seed=5, shuffle=shuffle)
+        meta = replace(model.meta, training_epochs=model.meta.training_epochs + cfg.epochs)
+        expected = make_checkpoint(self.SPECS, reference_sgd(model, data, cfg), meta)
+        assert checkpoints_equal(finetune(model, data, cfg), expected)
+
+
+def test_default_experiment_report_is_pinned():
+    """The report's bytes at the default configuration and seed 0.  Values
+    print with 6 significant digits, so BLAS thread count does not move it."""
+    csv = format_report_csv(run_experiment(ExperimentConfig(seeds=(0,))))
+    digest = hashlib.sha256(csv.encode("utf-8")).hexdigest()
+    assert digest == "de5599babef3fceaf5afb0cc38e4cef83846512ce7585a7b68cf031dbac7f7fe"

@@ -112,3 +112,14 @@ def test_golden_minimal_one_layer_file(tmp_path):
     assert np.array_equal(ckpt.layers[0].w, w)
     assert np.array_equal(ckpt.layers[0].b, b)
     assert ckpt.meta.seed == 7 and ckpt.meta.tag == "golden"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("specs", 5), ("layers", 7), ("specs", {"in_dim": 2}), ("meta", [1]), ("meta", "x")],
+)
+def test_wrongly_typed_top_level_field_is_corrupt(field, value):
+    doc = checkpoint_to_dict(random_checkpoint(np.random.default_rng(7)))
+    doc[field] = value
+    with pytest.raises(CheckpointFormatError):
+        checkpoint_from_dict(doc)
