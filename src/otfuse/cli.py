@@ -198,7 +198,7 @@ def _cmd_wer(args) -> int:
 def _cmd_landscape(args) -> int:
     ckpt0 = load_checkpoint(args.ckpt0)
     ckpt1 = load_checkpoint(args.ckpt1)
-    data = load_dataset_csv(args.data)
+    data = _load_model_data(ckpt0, args.data)
     curve = landscape(ckpt0, ckpt1, data, args.points)
     write_landscape_csv(curve, args.out)
     print(

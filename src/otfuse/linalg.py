@@ -12,6 +12,8 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 
+_ROW_BLOCK = 16  # rows of the first operand per difference block
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a 2-D float64 array and validate finiteness."""
@@ -59,13 +61,14 @@ def transpose(a) -> np.ndarray:
     return np.ascontiguousarray(a.T)
 
 
-def row_distance_matrix(a, b, squared: bool = False) -> np.ndarray:
+def row_distance_matrix(a, b) -> np.ndarray:
     """Pairwise Euclidean distances between the rows of ``a`` and ``b``.
 
     Both inputs must have the same shape; the result ``D`` is square with
-    ``D[i, j] = ||a_i - b_j||_2`` (or the squared norm when ``squared``).
-    Differences are formed explicitly so that identical rows produce an
-    exactly-zero distance.
+    ``D[i, j] = ||a_i - b_j||_2``.  Differences are formed explicitly so that
+    identical rows produce an exactly-zero distance.  They are built
+    ``_ROW_BLOCK`` rows of ``a`` at a time, so memory stays at the m x m
+    result plus a ``_ROW_BLOCK`` x m x k block.
     """
     a = as_matrix(a, "first matrix")
     b = as_matrix(b, "second matrix")
@@ -78,7 +81,9 @@ def row_distance_matrix(a, b, squared: bool = False) -> np.ndarray:
             f"row_distance_matrix needs equal row counts for a square cost, "
             f"got {a.shape} vs {b.shape}"
         )
-    diff = a[:, None, :] - b[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
-    out = sq if squared else np.sqrt(sq)
+    out = np.empty((a.shape[0], b.shape[0]))
+    for start in range(0, a.shape[0], _ROW_BLOCK):
+        diff = a[start : start + _ROW_BLOCK, None, :] - b[None, :, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=out[start : start + _ROW_BLOCK])
+    np.sqrt(out, out=out)
     return _check_finite(out, "row_distance_matrix")

@@ -2,9 +2,10 @@
 
 With both marginals uniform and a square cost matrix, the transport problem
 is a linear assignment problem: its optimum is a permutation matrix scaled
-by 1/m.  ``solve_exact`` finds that vertex with an O(m^3) shortest
-augmenting path solver, then refines ties to the lexicographically smallest
-optimal assignment so results are bit-reproducible.  ``solve_sinkhorn``
+by 1/m.  ``solve_exact`` finds that vertex with a shortest augmenting path
+solver, then refines ties to the lexicographically smallest optimal
+assignment by alternating-cycle search, so results are bit-reproducible;
+the whole solve, tie refinement included, is O(m^3).  ``solve_sinkhorn``
 returns the entropic soft coupling, switching to log-domain updates when
 the kernel would underflow.  ``brute_force_ot`` enumerates all m!
 permutations and exists purely as an oracle.
@@ -113,7 +114,9 @@ def _lap_shortest_path(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     """Min-cost perfect assignment via successive shortest augmenting paths.
 
     Returns (col_for_row, u, v) where u, v are 1-indexed dual potentials
-    (index 0 is a sentinel).
+    (index 0 is a sentinel).  Each row's search scans unassigned columns
+    first, so a tied minimum that includes a free column ends the search
+    there instead of growing the path (Jonker & Volgenant, 1987).
     """
     n = cost.shape[0]
     u = np.zeros(n + 1)
@@ -121,6 +124,8 @@ def _lap_shortest_path(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     row_for_col = np.zeros(n + 1, dtype=np.int64)  # 1-indexed, 0 = unassigned
     way = np.zeros(n + 1, dtype=np.int64)
     for i in range(1, n + 1):
+        assigned = row_for_col[1:] != 0
+        order = np.concatenate((np.flatnonzero(~assigned), np.flatnonzero(assigned))) + 1
         row_for_col[0] = i
         j0 = 0
         minv = np.full(n + 1, np.inf)
@@ -128,19 +133,17 @@ def _lap_shortest_path(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
         while True:
             used[j0] = True
             i0 = row_for_col[j0]
-            free = ~used
-            free[0] = False
-            idx = np.nonzero(free)[0]
+            idx = order[~used[order]]
             cur = cost[i0 - 1, idx - 1] - u[i0] - v[idx]
             better = cur < minv[idx]
             minv[idx] = np.where(better, cur, minv[idx])
             way[idx[better]] = j0
-            k = int(np.argmin(minv[idx]))  # ties resolve to the lowest column
+            k = int(np.argmin(minv[idx]))  # ties resolve to a free column first
             j1 = int(idx[k])
             delta = minv[j1]
             u[row_for_col[used]] += delta
             v[used] -= delta
-            minv[free] -= delta
+            minv[idx] -= delta
             j0 = j1
             if row_for_col[j0] == 0:
                 break
@@ -153,48 +156,53 @@ def _lap_shortest_path(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return col_for_row, u, v
 
 
-def _has_perfect_matching(adj: np.ndarray) -> bool:
-    """Kuhn's algorithm on a boolean rows-by-cols adjacency matrix."""
-    nrows, ncols = adj.shape
-    match_col = np.full(ncols, -1, dtype=np.int64)
-
-    def try_row(r: int, visited: np.ndarray) -> bool:
-        for c in np.nonzero(adj[r])[0]:
-            if not visited[c]:
-                visited[c] = True
-                if match_col[c] < 0 or try_row(int(match_col[c]), visited):
-                    match_col[c] = r
-                    return True
-        return False
-
-    for r in range(nrows):
-        if not try_row(r, np.zeros(ncols, dtype=bool)):
-            return False
-    return True
-
-
-def _lex_smallest_assignment(zero: np.ndarray) -> np.ndarray:
+def _lex_smallest_assignment(zero: np.ndarray, col_for_row: np.ndarray) -> np.ndarray:
     """Lexicographically smallest perfect matching inside the zero graph.
 
     ``zero[i, j]`` marks edges of zero reduced cost; by complementary
     slackness these are exactly the edges optimal assignments may use.
+    ``col_for_row`` is a perfect matching inside that graph.  Rows are fixed
+    in order: row i may move to a smaller unfixed column j exactly when an
+    alternating cycle i -> j -> ... -> col[i] exists, where column c leads to
+    c' when ``zero[row_of[c], c']``.  One backward search from col[i] finds
+    every such j, so each row costs O(m) without a smaller candidate and
+    O(m^2) at worst, O(m^3) in total.
     """
     n = zero.shape[0]
-    free_cols: list[int] = list(range(n))
-    assign = np.empty(n, dtype=np.int64)
+    col = np.array(col_for_row, dtype=np.int64)
+    if not zero[np.arange(n), col].all():
+        raise NumericalError("assignment is not inside the zero reduced-cost graph; duals inconsistent")
+    row_of = np.empty(n, dtype=np.int64)
+    row_of[col] = np.arange(n)
+    free = np.ones(n, dtype=bool)
+    succ = np.empty(n, dtype=np.int64)
     for i in range(n):
-        rest = np.arange(i + 1, n)
-        for pos, j in enumerate(free_cols):
-            if not zero[i, j]:
-                continue
-            rem = free_cols[:pos] + free_cols[pos + 1 :]
-            if rest.size == 0 or _has_perfect_matching(zero[np.ix_(rest, np.asarray(rem, dtype=np.int64))]):
-                assign[i] = j
-                free_cols.pop(pos)
-                break
-        else:
-            raise NumericalError("tie refinement lost feasibility; duals inconsistent")
-    return assign
+        c0 = int(col[i])
+        cand = np.flatnonzero(zero[i, :c0] & free[:c0])
+        if cand.size:
+            # backward search over unfixed columns: successors lead toward c0
+            reached = np.zeros(n, dtype=bool)
+            reached[c0] = True
+            frontier = np.array([c0])
+            while frontier.size and not reached[cand[0]]:
+                pending = i + 1 + np.flatnonzero(~reached[col[i + 1 :]])
+                hits = zero[np.ix_(pending, frontier)]
+                found = hits.any(axis=1)
+                nxt = col[pending[found]]
+                succ[nxt] = frontier[hits[found].argmax(axis=1)]
+                reached[nxt] = True
+                frontier = nxt
+            ok = cand[reached[cand]]
+            if ok.size:
+                path = [int(ok[0])]
+                while path[-1] != c0:
+                    path.append(int(succ[path[-1]]))
+                path = np.asarray(path)
+                movers = np.concatenate(([i], row_of[path[:-1]]))
+                col[movers] = path
+                row_of[path] = movers
+        free[col[i]] = False
+    return col
 
 
 def _permutation_solution(cost: np.ndarray, assign: np.ndarray, solver: str, iterations: int) -> OtSolution:
@@ -217,7 +225,7 @@ def solve_exact(cost) -> OtSolution:
     col_for_row, u, v = _lap_shortest_path(d)
     tol = 1e-9 * max(1.0, float(d.max()))
     reduced = d - u[1:, None] - v[None, 1:]
-    assign = _lex_smallest_assignment(reduced <= tol)
+    assign = _lex_smallest_assignment(reduced <= tol, col_for_row)
     return _permutation_solution(d, assign, "exact", iterations=n)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from otfuse.errors import NumericalError
 from otfuse.nets import (
     Checkpoint,
     CheckpointMeta,
@@ -64,3 +65,50 @@ def permuted_twin(ckpt: Checkpoint, perms: list[np.ndarray]) -> Checkpoint:
         ws[l + 1] = ws[l + 1] @ p.T
     layers = [LayerWeights(w, b) for w, b in zip(ws, bs)]
     return make_checkpoint(ckpt.specs, layers, ckpt.meta)
+
+
+# The lexicographic tie-refinement oracle: one Kuhn matching per candidate
+# edge of the zero graph.  Slow, but independent of the alternating-cycle
+# refinement that solve_exact uses.
+def _has_perfect_matching(adj: np.ndarray) -> bool:
+    """Kuhn's algorithm on a boolean rows-by-cols adjacency matrix."""
+    nrows, ncols = adj.shape
+    match_col = np.full(ncols, -1, dtype=np.int64)
+
+    def try_row(r: int, visited: np.ndarray) -> bool:
+        for c in np.nonzero(adj[r])[0]:
+            if not visited[c]:
+                visited[c] = True
+                if match_col[c] < 0 or try_row(int(match_col[c]), visited):
+                    match_col[c] = r
+                    return True
+        return False
+
+    for r in range(nrows):
+        if not try_row(r, np.zeros(ncols, dtype=bool)):
+            return False
+    return True
+
+
+def _lex_smallest_assignment(zero: np.ndarray) -> np.ndarray:
+    """Lexicographically smallest perfect matching inside the zero graph.
+
+    ``zero[i, j]`` marks edges of zero reduced cost; by complementary
+    slackness these are exactly the edges optimal assignments may use.
+    """
+    n = zero.shape[0]
+    free_cols: list[int] = list(range(n))
+    assign = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        rest = np.arange(i + 1, n)
+        for pos, j in enumerate(free_cols):
+            if not zero[i, j]:
+                continue
+            rem = free_cols[:pos] + free_cols[pos + 1 :]
+            if rest.size == 0 or _has_perfect_matching(zero[np.ix_(rest, np.asarray(rem, dtype=np.int64))]):
+                assign[i] = j
+                free_cols.pop(pos)
+                break
+        else:
+            raise NumericalError("tie refinement lost feasibility; duals inconsistent")
+    return assign

@@ -182,6 +182,24 @@ def test_eval_and_finetune_take_classes_from_model(workdir, capsys):
                  "--out", str(workdir / "tuned.json")]) == 0
 
 
+
+def test_landscape_takes_classes_from_model(workdir, capsys):
+    """landscape reads its dataset like eval: a file without the highest
+    class works, a label past the model's output width exits 2."""
+    ckpt = workdir / "model.json"
+    assert main(["train", str(workdir / "arch.json"), str(workdir / "train.csv"),
+                 "--epochs", "1", "--out", str(ckpt)]) == 0
+    top = ARCH[-1]["out_dim"] - 1
+    lines = (workdir / "held.csv").read_text().splitlines()
+    partial = workdir / "partial.csv"
+    partial.write_text("\n".join(l for l in lines if not l.endswith(f",{top}")) + "\n")
+    curve = str(workdir / "curve.csv")
+    assert main(["landscape", str(ckpt), str(ckpt), str(partial), "--out", curve]) == 0
+    bad = workdir / "bad_label.csv"
+    lines[1] = lines[1].rsplit(",", 1)[0] + f",{top + 1}"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["landscape", str(ckpt), str(ckpt), str(bad), "--out", curve]) == 2
+
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -92,10 +92,26 @@ class TestRowDistanceMatrix:
             row_distance_matrix(a, b), row_distance_matrix(b, a).T, atol=1e-12
         )
 
-    def test_squared_flag(self):
-        a = np.array([[3.0, 4.0]])
-        b = np.array([[0.0, 0.0]])
-        assert row_distance_matrix(a, b, squared=True)[0, 0] == 25.0
+    @pytest.mark.parametrize("m", [1, 15, 16, 17, 33])
+    def test_row_blocks_match_one_shot_formula(self, m):
+        # sizes around the 16-row block: the blocked build must be
+        # bit-identical to forming every difference at once
+        rng = np.random.default_rng(100 + m)
+        for k in (1, 7, 24):
+            a = rng.standard_normal((m, k))
+            b = rng.standard_normal((m, k))
+            diff = a[:, None, :] - b[None, :, :]
+            expected = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+            assert np.array_equal(row_distance_matrix(a, b), expected)
+
+    @pytest.mark.parametrize("m", [1, 15, 16, 17, 33])
+    def test_row_blocks_keep_exact_zeros(self, m):
+        rng = np.random.default_rng(200 + m)
+        a = rng.standard_normal((m, 5))
+        b = a[::-1].copy()
+        d = row_distance_matrix(a, b)
+        rows = np.arange(m)
+        assert (d[rows, m - 1 - rows] == 0.0).all()
 
     def test_column_mismatch_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from otfuse.errors import SinkhornUnderflowError, ValidationError
+from otfuse.errors import NumericalError, SinkhornUnderflowError, ValidationError
 from otfuse.transport import (
     MARGINAL_TOL,
     OtSolution,
     TransportMap,
+    _lap_shortest_path,
+    _lex_smallest_assignment,
     brute_force_ot,
     hard_permutation,
     identity_map,
@@ -14,6 +16,7 @@ from otfuse.transport import (
     solve_sinkhorn,
     validate_transport_map,
 )
+from helpers import _lex_smallest_assignment as kuhn_lex_assignment
 
 
 def naive_objective(t, d):
@@ -114,6 +117,41 @@ class TestSolveExact:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             solve_exact(np.array([[-1.0, 0.0], [0.0, 1.0]]))
+
+
+def _assignment(sol):
+    return np.argmax(sol.map.matrix, axis=1)
+
+
+class TestTieRefinement:
+    def test_matches_kuhn_oracle_on_tie_heavy_integer_costs(self):
+        rng = np.random.default_rng(31)
+        for trial in range(80):
+            m = int(rng.integers(2, 41))
+            d = rng.integers(0, 1 + trial % 3, (m, m)).astype(np.float64)
+            # integer costs keep the duals exact, so the zero graph is exact
+            _, u, v = _lap_shortest_path(d)
+            zero = d - u[1:, None] - v[None, 1:] <= 1e-9 * max(1.0, float(d.max()))
+            assert np.array_equal(_assignment(solve_exact(d)), kuhn_lex_assignment(zero))
+
+    def test_all_zero_cost_is_identity(self):
+        for m in (1, 2, 17, 64, 256):
+            sol = solve_exact(np.zeros((m, m)))
+            assert np.array_equal(sol.map.matrix, np.eye(m) / m)
+
+    def test_matching_outside_zero_graph_rejected(self):
+        zero = np.eye(4, dtype=bool)
+        with pytest.raises(NumericalError):
+            _lex_smallest_assignment(zero, np.array([1, 0, 2, 3]))
+
+    @pytest.mark.parametrize("m", [64, 256, 1024])
+    def test_objective_matches_scipy(self, m):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(m)
+        for d in (rng.uniform(0, 1, (m, m)), rng.integers(0, m, (m, m)).astype(np.float64)):
+            rows, cols = scipy_optimize.linear_sum_assignment(d)
+            expected = d[rows, cols].sum() / m
+            assert solve_exact(d).objective == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 class TestBruteForce:
