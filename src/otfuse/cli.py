@@ -52,8 +52,8 @@ def _load_arch(path) -> tuple[LayerSpec, ...]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: not valid JSON ({exc})") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise DataFormatError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     if not isinstance(doc, list) or not doc:
         raise DataFormatError(f"{path}: architecture file must be a non-empty JSON list")
     try:
@@ -61,7 +61,7 @@ def _load_arch(path) -> tuple[LayerSpec, ...]:
             LayerSpec(int(e["in_dim"]), int(e["out_dim"]), str(e.get("activation", "relu")))
             for e in doc
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"{path}: malformed layer entry ({exc})") from exc
 
 
@@ -128,6 +128,10 @@ def _cmd_align(args) -> int:
     print(f"{'layer':>5} {'side':>5} {'objective':>14}")
     for i, (tm, obj) in enumerate(zip(result.maps, result.objectives)):
         print(f"{i:>5} {tm.side:>5} {_fmt(obj):>14}")
+    for i, ok in enumerate(result.converged):
+        if not ok:
+            print(f"warning: layer {i}: Sinkhorn did not converge; using its rounded last iterate",
+                  file=sys.stderr)
     print(f"aligned checkpoint -> {args.out}")
     return 0
 

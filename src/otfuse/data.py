@@ -175,10 +175,18 @@ def save_dataset_csv(ds: Dataset, path) -> None:
             fh.write(",".join(cells) + f",{int(label)}\n")
 
 
+def read_lines(path) -> list[str]:
+    """Lines of a UTF-8 text file without their newlines."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def load_dataset_csv(path) -> Dataset:
     """Read a dataset file; num_classes is inferred as max(label) + 1."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    lines = read_lines(path)
     if not lines:
         raise DataFormatError(f"{path}: empty dataset file")
     header = lines[0].split(",")
@@ -201,7 +209,10 @@ def load_dataset_csv(path) -> Dataset:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
     if not feats:
         raise DataFormatError(f"{path}: no samples")
-    labels_arr = np.asarray(labels, dtype=np.int64)
+    try:
+        labels_arr = np.asarray(labels, dtype=np.int64)
+    except OverflowError as exc:
+        raise DataFormatError(f"{path}: label out of range ({exc})") from exc
     if labels_arr.min() < 0:
         raise DataFormatError(f"{path}: negative label")
     return make_dataset(np.asarray(feats), labels_arr, int(labels_arr.max()) + 1)

@@ -67,12 +67,14 @@ class AlignmentOptions:
 
 @dataclass(frozen=True, eq=False)
 class AlignmentResult:
-    """Aligned copy of model A, one transport map per layer, and the
-    per-layer transport objectives."""
+    """Aligned copy of model A, one transport map per layer, the per-layer
+    transport objectives, and whether each layer's solver converged (exact
+    and pinned layers always do)."""
 
     aligned: Checkpoint
     maps: tuple[TransportMap, ...]
     objectives: tuple[float, ...]
+    converged: tuple[bool, ...]
 
 
 def _validate_options(opts: AlignmentOptions) -> None:
@@ -115,6 +117,7 @@ def align(model_a: Checkpoint, model_b: Checkpoint, opts: AlignmentOptions = Ali
     aligned_layers: list[LayerWeights] = []
     maps: list[TransportMap] = []
     objectives: list[float] = []
+    converged: list[bool] = []
 
     for l in range(num_layers):
         spec = model_a.specs[l]
@@ -134,10 +137,12 @@ def align(model_a: Checkpoint, model_b: Checkpoint, opts: AlignmentOptions = Ali
         if opts.fix_last_layer and l == num_layers - 1:
             tm = identity_map(spec.out_dim)
             objectives.append(ot_objective(tm, cost))
+            converged.append(True)
         else:
             solution = _solve_layer(cost, opts)
             tm = solution.map
             objectives.append(solution.objective)
+            converged.append(solution.converged)
         maps.append(tm)
 
         carrier = _carrier(tm)
@@ -152,7 +157,7 @@ def align(model_a: Checkpoint, model_b: Checkpoint, opts: AlignmentOptions = Ali
         tag="aligned",
     )
     aligned = make_checkpoint(model_a.specs, aligned_layers, meta)
-    return AlignmentResult(aligned, tuple(maps), tuple(objectives))
+    return AlignmentResult(aligned, tuple(maps), tuple(objectives), tuple(converged))
 
 
 def _blend(a: Checkpoint, b: Checkpoint, lam: float, tag: str) -> Checkpoint:

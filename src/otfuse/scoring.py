@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, validate_dataset
+from .data import Dataset, read_lines, validate_dataset
 from .errors import DataFormatError, ValidationError
 from .nets import (
     Checkpoint,
@@ -242,20 +242,18 @@ def _split_tokens(field: str) -> tuple[str, ...]:
 def read_references(path) -> dict[str, tuple[str, ...]]:
     """Lines of ``utt_id<TAB>token token token``."""
     refs: dict[str, tuple[str, ...]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected 'utt_id<TAB>tokens', got {len(parts)} fields"
-                )
-            utt, tokens = parts
-            if utt in refs:
-                raise DataFormatError(f"{path}:{lineno}: duplicate utt_id {utt!r}")
-            refs[utt] = _split_tokens(tokens)
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected 'utt_id<TAB>tokens', got {len(parts)} fields"
+            )
+        utt, tokens = parts
+        if utt in refs:
+            raise DataFormatError(f"{path}:{lineno}: duplicate utt_id {utt!r}")
+        refs[utt] = _split_tokens(tokens)
     if not refs:
         raise DataFormatError(f"{path}: no references")
     return refs
@@ -264,34 +262,32 @@ def read_references(path) -> dict[str, tuple[str, ...]]:
 def read_hypotheses(path, system_name: str) -> HypothesisSet:
     """Lines of ``utt_id<TAB>tokens[<TAB>c1 c2 c3]`` with optional confidences."""
     items: dict[str, Hypothesis] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (2, 3):
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) not in (2, 3):
+            raise DataFormatError(
+                f"{path}:{lineno}: expected 2 or 3 tab-separated fields, got {len(parts)}"
+            )
+        utt = parts[0]
+        if utt in items:
+            raise DataFormatError(f"{path}:{lineno}: duplicate utt_id {utt!r}")
+        tokens = _split_tokens(parts[1])
+        confidences = None
+        if len(parts) == 3:
+            try:
+                confidences = tuple(float(c) for c in parts[2].split(" ") if c)
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: bad confidence ({exc})") from exc
+            if len(confidences) != len(tokens):
                 raise DataFormatError(
-                    f"{path}:{lineno}: expected 2 or 3 tab-separated fields, got {len(parts)}"
+                    f"{path}:{lineno}: {len(confidences)} confidences for "
+                    f"{len(tokens)} tokens"
                 )
-            utt = parts[0]
-            if utt in items:
-                raise DataFormatError(f"{path}:{lineno}: duplicate utt_id {utt!r}")
-            tokens = _split_tokens(parts[1])
-            confidences = None
-            if len(parts) == 3:
-                try:
-                    confidences = tuple(float(c) for c in parts[2].split(" ") if c)
-                except ValueError as exc:
-                    raise DataFormatError(f"{path}:{lineno}: bad confidence ({exc})") from exc
-                if len(confidences) != len(tokens):
-                    raise DataFormatError(
-                        f"{path}:{lineno}: {len(confidences)} confidences for "
-                        f"{len(tokens)} tokens"
-                    )
-                if any(not 0.0 <= c <= 1.0 for c in confidences):
-                    raise DataFormatError(f"{path}:{lineno}: confidence outside [0, 1]")
-            items[utt] = Hypothesis(utt, tokens, confidences)
+            if any(not 0.0 <= c <= 1.0 for c in confidences):
+                raise DataFormatError(f"{path}:{lineno}: confidence outside [0, 1]")
+        items[utt] = Hypothesis(utt, tokens, confidences)
     if not items:
         raise DataFormatError(f"{path}: no hypotheses")
     return HypothesisSet(system_name, items)

@@ -95,13 +95,15 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
             training_epochs=int(meta_doc.get("training_epochs", 0)),
             tag=str(meta_doc.get("tag", "")),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointFormatError(f"malformed checkpoint fields: {exc}") from exc
 
     layers = []
     for i, (spec, entry) in enumerate(zip(specs, layers_doc)):
         if not isinstance(entry, dict) or "w" not in entry or "b" not in entry:
             raise CheckpointFormatError(f"layer {i}: missing w/b payloads")
+        if spec.in_dim < 1 or spec.out_dim < 1:
+            raise CheckpointFormatError(f"layer {i}: non-positive dimensions", code="shape_mismatch")
         w = _decode(entry["w"], spec.out_dim * spec.in_dim, f"layer {i} weights")
         b = _decode(entry["b"], spec.out_dim, f"layer {i} bias")
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
@@ -122,10 +124,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CheckpointFormatError(f"{path}: not valid JSON ({exc})") from exc
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise CheckpointFormatError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     return checkpoint_from_dict(doc)

@@ -6,9 +6,9 @@ by 1/m.  ``solve_exact`` finds that vertex with a shortest augmenting path
 solver, then refines ties to the lexicographically smallest optimal
 assignment by alternating-cycle search, so results are bit-reproducible;
 the whole solve, tie refinement included, is O(m^3).  ``solve_sinkhorn``
-returns the entropic soft coupling, switching to log-domain updates when
-the kernel would underflow.  ``brute_force_ot`` enumerates all m!
-permutations and exists purely as an oracle.
+returns the entropic soft coupling from one scaling loop on a kernel that
+log potentials keep in range for any eps.  ``brute_force_ot`` enumerates
+all m! permutations and exists purely as an oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .linalg import as_matrix
 
 MARGINAL_TOL = 1e-8
 BRUTE_FORCE_MAX_SIDE = 8
-_LOG_DOMAIN_THRESHOLD = 700.0  # exp(-x) underflows to subnormals past this
+_ABSORB_ABOVE = 1e50  # Sinkhorn scalings past this fold into the log potentials
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,20 +252,6 @@ def brute_force_ot(cost) -> OtSolution:
     )
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = a.max(axis=axis, keepdims=True)
-    return np.log(np.exp(a - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
-
-
-def _marginal_residuals(t: np.ndarray) -> tuple[float, float]:
-    m = t.shape[0]
-    target = 1.0 / m
-    return (
-        float(np.abs(t.sum(axis=1) - target).max()),
-        float(np.abs(t.sum(axis=0) - target).max()),
-    )
-
-
 def _round_to_polytope(t: np.ndarray) -> np.ndarray:
     """Project a near-feasible coupling onto exact uniform marginals.
 
@@ -292,14 +278,22 @@ def _round_to_polytope(t: np.ndarray) -> np.ndarray:
     return t
 
 
+def _kernel(scaled: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return np.exp(f[:, None] + g[None, :] - scaled)
+
+
 def solve_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: int = 10000) -> OtSolution:
     """Entropic-regularized coupling via alternating marginal scaling.
 
     ``eps`` defaults to 0.01 * mean(cost) so the softness is scale free.
-    Iteration stops once both marginal residuals (max norm) drop to ``tol``;
-    hitting ``max_iter`` first returns the last iterate flagged as
-    unconverged rather than raising.  Either way the final iterate is
-    rounded onto the uniform-marginal polytope before being returned.
+    The scalings run on the kernel ``exp(f_i + g_j - cost_ij / eps)``, whose
+    log potentials start at the row and column minima (an exact 1 in every
+    row and column) and absorb the scalings once they pass ``_ABSORB_ABOVE``
+    (Schmitzer, 2019).  A sweep scales rows then columns, and iteration stops
+    once the row residual (max norm) drops to ``tol``.  Hitting ``max_iter``
+    sweeps first returns the last iterate flagged as unconverged rather than
+    raising.  Either way the coupling is rounded onto the uniform-marginal
+    polytope before being returned.
     """
     d = _check_cost(cost)
     n = d.shape[0]
@@ -317,53 +311,36 @@ def solve_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: 
         raise SinkhornUnderflowError(
             f"eps={eps:g} is too small for this cost matrix: kernel exponent overflows"
         )
-    target = np.full(n, 1.0 / n)
-    log_domain = float(scaled.max()) > _LOG_DOMAIN_THRESHOLD
-    iterations = 0
+    target = 1.0 / n
+    f = scaled.min(axis=1)
+    g = (scaled - f[:, None]).min(axis=0)
+    kernel = _kernel(scaled, f, g)
+    u = v = np.ones(n)
+    kv = kernel @ v
     converged = False
-
-    if log_domain:
-        log_kernel = -scaled
-        log_target = np.log(target)
-        f = np.zeros(n)
-        g = np.zeros(n)
-        t = np.exp(log_kernel)
-        for iterations in range(1, max_iter + 1):
-            f = log_target - _logsumexp(log_kernel + g[None, :], axis=1)
-            g = log_target - _logsumexp(log_kernel + f[:, None], axis=0)
-            if not (np.isfinite(f).all() and np.isfinite(g).all()):
-                raise SinkhornUnderflowError(
-                    f"eps={eps:g} is too small: scaling potentials diverged"
-                )
-            t = np.exp(log_kernel + f[:, None] + g[None, :])
-            row_res, col_res = _marginal_residuals(t)
-            if row_res <= tol and col_res <= tol:
-                converged = True
-                break
-    else:
-        kernel = np.exp(-scaled)
-        u = np.full(n, 1.0)
-        v = np.full(n, 1.0)
-        t = kernel / (n * n)
-        for iterations in range(1, max_iter + 1):
+    for iterations in range(1, max_iter + 1):
+        if (kv <= 0).any() or not np.isfinite(kv).all():
+            raise SinkhornUnderflowError(f"eps={eps:g} is too small: kernel column sums underflowed")
+        u = target / kv
+        ku = kernel.T @ u
+        if (ku <= 0).any() or not np.isfinite(ku).all():
+            raise SinkhornUnderflowError(f"eps={eps:g} is too small: kernel row sums underflowed")
+        v = target / ku
+        kv = kernel @ v
+        # columns are exact after the v update, so only rows are tested
+        if np.abs(u * kv - target).max() <= tol:
+            converged = True
+            break
+        if max(u.max(), v.max()) > _ABSORB_ABOVE:
+            # a tiny scaling forces a huge one on the other side, so
+            # bounding the maxima keeps both in range
+            f = f + np.log(u)
+            g = g + np.log(v)
+            kernel = _kernel(scaled, f, g)
+            u = v = np.ones(n)
             kv = kernel @ v
-            if (kv <= 0).any() or not np.isfinite(kv).all():
-                raise SinkhornUnderflowError(
-                    f"eps={eps:g} is too small: kernel column sums underflowed"
-                )
-            u = target / kv
-            ku = kernel.T @ u
-            if (ku <= 0).any() or not np.isfinite(ku).all():
-                raise SinkhornUnderflowError(
-                    f"eps={eps:g} is too small: kernel row sums underflowed"
-                )
-            v = target / ku
-            t = u[:, None] * kernel * v[None, :]
-            row_res, col_res = _marginal_residuals(t)
-            if row_res <= tol and col_res <= tol:
-                converged = True
-                break
 
+    t = u[:, None] * kernel * v[None, :]
     if not np.isfinite(t).all():
         raise SinkhornUnderflowError(f"eps={eps:g} produced a non-finite coupling")
     # the last iterate is near-feasible (within the stopping residuals);

@@ -4,13 +4,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from otfuse.errors import NumericalError
+from otfuse.errors import NumericalError, SinkhornUnderflowError, ValidationError
 from otfuse.nets import (
     Checkpoint,
     CheckpointMeta,
     LayerSpec,
     LayerWeights,
     make_checkpoint,
+)
+from otfuse.transport import (
+    MARGINAL_TOL,
+    OtSolution,
+    TransportMap,
+    _check_cost,
+    _round_to_polytope,
+    ot_objective,
+    validate_transport_map,
 )
 
 
@@ -112,3 +121,111 @@ def _lex_smallest_assignment(zero: np.ndarray) -> np.ndarray:
         else:
             raise NumericalError("tie refinement lost feasibility; duals inconsistent")
     return assign
+
+
+# The Sinkhorn oracle: the earlier two-path solver, a plain kernel loop and a
+# log-domain loop chosen by max(cost) / eps, each forming the full coupling
+# and checking both marginals every iteration.
+_LOG_DOMAIN_THRESHOLD = 700.0  # exp(-x) underflows to subnormals past this
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    m = a.max(axis=axis, keepdims=True)
+    return np.log(np.exp(a - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
+
+
+def _marginal_residuals(t: np.ndarray) -> tuple[float, float]:
+    m = t.shape[0]
+    target = 1.0 / m
+    return (
+        float(np.abs(t.sum(axis=1) - target).max()),
+        float(np.abs(t.sum(axis=0) - target).max()),
+    )
+
+
+def reference_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: int = 10000) -> OtSolution:
+    """Entropic-regularized coupling via alternating marginal scaling.
+
+    ``eps`` defaults to 0.01 * mean(cost) so the softness is scale free.
+    Iteration stops once both marginal residuals (max norm) drop to ``tol``;
+    hitting ``max_iter`` first returns the last iterate flagged as
+    unconverged rather than raising.  Either way the final iterate is
+    rounded onto the uniform-marginal polytope before being returned.
+    """
+    d = _check_cost(cost)
+    n = d.shape[0]
+    if eps is None:
+        mean = float(d.mean())
+        eps = 0.01 * mean if mean > 0 else 1.0
+    if eps <= 0:
+        raise ValidationError("sinkhorn eps must be positive")
+    if tol <= 0 or max_iter < 1:
+        raise ValidationError("sinkhorn tol must be positive and max_iter >= 1")
+
+    with np.errstate(over="ignore"):
+        scaled = d / eps
+    if not np.isfinite(scaled).all():
+        raise SinkhornUnderflowError(
+            f"eps={eps:g} is too small for this cost matrix: kernel exponent overflows"
+        )
+    target = np.full(n, 1.0 / n)
+    log_domain = float(scaled.max()) > _LOG_DOMAIN_THRESHOLD
+    iterations = 0
+    converged = False
+
+    if log_domain:
+        log_kernel = -scaled
+        log_target = np.log(target)
+        f = np.zeros(n)
+        g = np.zeros(n)
+        t = np.exp(log_kernel)
+        for iterations in range(1, max_iter + 1):
+            f = log_target - _logsumexp(log_kernel + g[None, :], axis=1)
+            g = log_target - _logsumexp(log_kernel + f[:, None], axis=0)
+            if not (np.isfinite(f).all() and np.isfinite(g).all()):
+                raise SinkhornUnderflowError(
+                    f"eps={eps:g} is too small: scaling potentials diverged"
+                )
+            t = np.exp(log_kernel + f[:, None] + g[None, :])
+            row_res, col_res = _marginal_residuals(t)
+            if row_res <= tol and col_res <= tol:
+                converged = True
+                break
+    else:
+        kernel = np.exp(-scaled)
+        u = np.full(n, 1.0)
+        v = np.full(n, 1.0)
+        t = kernel / (n * n)
+        for iterations in range(1, max_iter + 1):
+            kv = kernel @ v
+            if (kv <= 0).any() or not np.isfinite(kv).all():
+                raise SinkhornUnderflowError(
+                    f"eps={eps:g} is too small: kernel column sums underflowed"
+                )
+            u = target / kv
+            ku = kernel.T @ u
+            if (ku <= 0).any() or not np.isfinite(ku).all():
+                raise SinkhornUnderflowError(
+                    f"eps={eps:g} is too small: kernel row sums underflowed"
+                )
+            v = target / ku
+            t = u[:, None] * kernel * v[None, :]
+            row_res, col_res = _marginal_residuals(t)
+            if row_res <= tol and col_res <= tol:
+                converged = True
+                break
+
+    if not np.isfinite(t).all():
+        raise SinkhornUnderflowError(f"eps={eps:g} produced a non-finite coupling")
+    # the last iterate is near-feasible (within the stopping residuals);
+    # rounding it onto the polytope keeps every returned map a valid
+    # coupling and its objective a true upper bound on the exact optimum
+    tm = TransportMap(_round_to_polytope(t))
+    validate_transport_map(tm, atol=MARGINAL_TOL)
+    return OtSolution(
+        tm,
+        ot_objective(tm, d),
+        solver=f"sinkhorn(eps={eps:g})",
+        iterations=iterations,
+        converged=converged,
+    )

@@ -5,6 +5,7 @@ import pytest
 
 from otfuse.cli import main
 from otfuse.data import DomainMixtureConfig, gen_synthetic, save_dataset_csv
+from otfuse.fusion import AlignmentOptions, align
 from otfuse.serialize import load_checkpoint, save_checkpoint
 from helpers import random_checkpoint
 
@@ -94,6 +95,26 @@ def test_align_self_reports_zero_objectives(workdir, capsys):
         if line and line.split()[0].isdigit()
     ]
     assert lines and all(float(parts[2]) == 0.0 for parts in lines)
+
+
+def test_align_warns_on_unconverged_layers(workdir, capsys):
+    for seed, name in ((1, "m1.json"), (2, "m2.json")):
+        main([
+            "train", str(workdir / "arch.json"), str(workdir / "train.csv"),
+            "--epochs", "2", "--seed", str(seed), "--out", str(workdir / name),
+        ])
+    m1, m2 = str(workdir / "m1.json"), str(workdir / "m2.json")
+    # at the default eps layer 0 stops at max_iter; --eps 0.1 converges
+    result = align(load_checkpoint(m1), load_checkpoint(m2), AlignmentOptions(solver="sinkhorn"))
+    assert result.converged == (False, True)
+    capsys.readouterr()
+    argv = ["align", m1, m2, "--solver", "sinkhorn", "--out", str(workdir / "a.json")]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert "warning" not in out
+    assert [line.split(":")[0:2] for line in err.splitlines()] == [["warning", " layer 0"]]
+    assert main(argv + ["--eps", "0.1"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_landscape_command(workdir, capsys):
@@ -220,6 +241,26 @@ class TestExitCodes:
         bad.write_text("{not json")
         rc = main(["eval", str(bad), str(workdir / "held.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["train", "arch.json", "train.csv", "--epochs", "1", "--out", "x.json"], "arch.json"),
+        (["train", "arch.json", "train.csv", "--epochs", "1", "--out", "x.json"], "train.csv"),
+        (["eval", "model.json", "held.csv"], "model.json"),
+        (["eval", "model.json", "held.csv"], "held.csv"),
+        (["wer", "refs.txt", "hyp.txt"], "refs.txt"),
+        (["wer", "refs.txt", "hyp.txt"], "hyp.txt"),
+    ], ids=["train-arch", "train-data", "eval-checkpoint", "eval-data", "wer-refs", "wer-hyps"])
+    def test_non_utf8_file_is_two(self, workdir, capsys, argv, bad):
+        assert main(["train", str(workdir / "arch.json"), str(workdir / "train.csv"),
+                     "--epochs", "1", "--out", str(workdir / "model.json")]) == 0
+        for name in ("refs.txt", "hyp.txt"):
+            (workdir / name).write_text("u1\ta b\n")
+        path = workdir / bad
+        path.write_bytes(b"\xff" + path.read_bytes())
+        capsys.readouterr()
+        args = [str(workdir / a) if "." in a else a for a in argv]
+        assert main(args) == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_label_beyond_model_classes_is_two(self, workdir, capsys):
         ckpt = workdir / "model.json"

@@ -118,6 +118,16 @@ class TestAlignmentObjectives:
 
             prev = hard_permutation(tm)
 
+    def test_converged_per_layer(self):
+        a, b, _ = trained_pair(seed=2)
+        assert align(a, b).converged == (True, True, True)
+        # at the default eps both hidden layers stop at max_iter; the pinned
+        # output layer counts as converged
+        soft = align(a, b, AlignmentOptions(solver="sinkhorn"))
+        assert soft.converged == (False, False, True)
+        loose = align(a, b, AlignmentOptions(solver="sinkhorn", sinkhorn_eps=0.1))
+        assert loose.converged == (True, True, True)
+
     def test_maps_satisfy_marginals(self):
         a, b, _ = trained_pair(seed=2)
         for solver in ("exact", "sinkhorn"):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import otfuse.transport as transport
 from otfuse.errors import NumericalError, SinkhornUnderflowError, ValidationError
 from otfuse.transport import (
     MARGINAL_TOL,
@@ -17,6 +18,7 @@ from otfuse.transport import (
     validate_transport_map,
 )
 from helpers import _lex_smallest_assignment as kuhn_lex_assignment
+from helpers import reference_sinkhorn
 
 
 def naive_objective(t, d):
@@ -252,6 +254,40 @@ class TestSinkhorn:
         assert not sol.converged
         validate_transport_map(sol.map, MARGINAL_TOL)
         assert sol.objective >= solve_exact(d).objective - 1e-9
+
+
+class TestSinkhornReference:
+    def test_matches_two_path_reference(self, monkeypatch):
+        # eps from 1e-5 to 1 times the mean cost covers both of the
+        # reference's paths (plain kernel, and log domain past
+        # max(cost) / eps = 700) and draws where the scalings are absorbed;
+        # half the costs are uniform, half compare rows with a noisy
+        # permutation of themselves, as alignment does; max_iter=1000 keeps
+        # the draws that never converge cheap
+        builds = []
+        kernel = transport._kernel
+        monkeypatch.setattr(transport, "_kernel", lambda *a: builds.append(1) or kernel(*a))
+        rng = np.random.default_rng(23)
+        log_domain = absorbed = converged = 0
+        for k in range(40):
+            m = int(rng.integers(2, 33))
+            if k % 2:
+                d = rng.uniform(0, 1, (m, m))
+            else:
+                x = rng.standard_normal((m, 4))
+                y = x[rng.permutation(m)] + 0.1 * rng.standard_normal((m, 4))
+                d = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2)
+            eps = float(10 ** rng.uniform(-5, 0)) * float(d.mean())
+            builds.clear()
+            sol = solve_sinkhorn(d, eps=eps, max_iter=1000)
+            ref = reference_sinkhorn(d, eps=eps, max_iter=1000)
+            log_domain += d.max() / eps > 700
+            absorbed += len(builds) > 1
+            assert sol.converged == ref.converged
+            if sol.converged:
+                converged += 1
+                assert np.abs(sol.map.matrix - ref.map.matrix).max() <= 1e-7 / m
+        assert 0 < log_domain < 40 and absorbed > 0 and converged > 0
 
 
 class TestTransportMapValidation:
