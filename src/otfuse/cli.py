@@ -17,7 +17,16 @@ from .data import Dataset, load_dataset_csv, make_dataset
 from .errors import DataFormatError, NumericalError, ValidationError
 from .experiment import ExperimentConfig, format_report_csv, format_report_text, run_experiment
 from .fusion import AlignmentOptions, align, fuse
-from .nets import LayerSpec, TrainConfig, accuracy, finetune, loss, train
+from .nets import (
+    DEFAULT_FINETUNE_EPOCHS,
+    DEFAULT_TRAIN_EPOCHS,
+    LayerSpec,
+    TrainConfig,
+    accuracy,
+    finetune,
+    loss,
+    train,
+)
 from .scoring import (
     confidence_select,
     error_rate,
@@ -28,7 +37,7 @@ from .scoring import (
     selected_set,
     write_landscape_csv,
 )
-from .serialize import encode_float64, load_checkpoint, save_checkpoint
+from .serialize import encode_float64, json_int, load_checkpoint, save_checkpoint
 
 
 def _fmt(x: float) -> str:
@@ -58,10 +67,12 @@ def _load_arch(path) -> tuple[LayerSpec, ...]:
         raise DataFormatError(f"{path}: architecture file must be a non-empty JSON list")
     try:
         return tuple(
-            LayerSpec(int(e["in_dim"]), int(e["out_dim"]), str(e.get("activation", "relu")))
+            LayerSpec(
+                json_int(e["in_dim"]), json_int(e["out_dim"]), str(e.get("activation", "relu"))
+            )
             for e in doc
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: malformed layer entry ({exc})") from exc
 
 
@@ -98,7 +109,6 @@ def _alignment_options(args) -> AlignmentOptions:
         solver=args.solver,
         sinkhorn_eps=args.eps,
         cost_on_aligned_inputs=not args.cost_on_raw,
-        lam=getattr(args, "lam", 0.5),
         fix_last_layer=not args.free_last_layer,
         bias_in_cost=args.bias_in_cost,
     )
@@ -243,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a network on a dataset file")
     p.add_argument("arch", help="JSON list of {in_dim, out_dim, activation}")
     p.add_argument("data", help="dataset CSV (header f0,...,label)")
-    _add_train_flags(p, default_epochs=200)
+    _add_train_flags(p, default_epochs=DEFAULT_TRAIN_EPOCHS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 
@@ -271,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("finetune", help="continue training from a checkpoint")
     p.add_argument("ckpt")
     p.add_argument("data")
-    _add_train_flags(p, default_epochs=10)
+    _add_train_flags(p, default_epochs=DEFAULT_FINETUNE_EPOCHS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_finetune)
 

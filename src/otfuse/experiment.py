@@ -43,13 +43,29 @@ METHOD_LABELS = {
 }
 
 
+# The study's fixed recipe.  The task and rates are tuned so constituents
+# converge without memorizing the class overlap and ten epochs of
+# fine-tuning stay genuinely moderate: enough steps to polish a good
+# initialization, far too few to rescue a collapsed one.  The fine-tune rate
+# is deliberately below the training rate, standing in for the decayed tail
+# of a schedule.
+TASK = DomainMixtureConfig(
+    num_classes=5,
+    feature_dim=8,
+    train_per_class=150,
+    heldout_per_class=40,
+    noise_scale=1.3,
+    mean_scale=1.6,
+)
+HIDDEN = (16, 16)
+LEARNING_RATE = 0.1
+FINETUNE_LR = 0.01
+BATCH_SIZE = 64
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Defaults are tuned so constituents converge without memorizing the
-    class overlap and ten epochs of fine-tuning stay genuinely moderate:
-    enough steps to polish a good initialization, far too few to rescue a
-    collapsed one.  The fine-tune rate is deliberately below the training
-    rate, standing in for the decayed tail of a schedule."""
+    """What one study run varies; the rest of the recipe is the constants above."""
 
     seeds: tuple[int, ...] = (0,)
     domain_shift: float = 2.0
@@ -58,16 +74,6 @@ class ExperimentConfig:
     lam: float = 0.5
     solver: str = "exact"
     output_dir: str | None = None
-    num_classes: int = 5
-    feature_dim: int = 8
-    hidden: tuple[int, ...] = (16, 16)
-    train_per_class: int = 150
-    heldout_per_class: int = 40
-    noise_scale: float = 1.3
-    mean_scale: float = 1.6
-    learning_rate: float = 0.1
-    finetune_lr: float = 0.01
-    batch_size: int = 64
 
 
 @dataclass(frozen=True)
@@ -93,8 +99,8 @@ def _child_seed(seed: int, stream: int) -> int:
     return int(np.random.SeedSequence([int(seed) % 2**64, stream]).generate_state(1)[0])
 
 
-def _model_specs(cfg: ExperimentConfig) -> tuple[LayerSpec, ...]:
-    dims = (cfg.feature_dim, *cfg.hidden, cfg.num_classes)
+def _model_specs() -> tuple[LayerSpec, ...]:
+    dims = (TASK.feature_dim, *HIDDEN, TASK.num_classes)
     specs = [
         LayerSpec(dims[i], dims[i + 1], "relu") for i in range(len(dims) - 2)
     ]
@@ -113,36 +119,26 @@ def _score(model: Checkpoint, held_a: Dataset, held_b: Dataset, held_u: Dataset)
 
 def run_seed(cfg: ExperimentConfig, seed: int) -> dict[str, MethodMetrics]:
     """Train the constituents and every fusion variant for one seed."""
-    base = DomainMixtureConfig(
-        num_classes=cfg.num_classes,
-        feature_dim=cfg.feature_dim,
-        train_per_class=cfg.train_per_class,
-        heldout_per_class=cfg.heldout_per_class,
-        domain_shift=cfg.domain_shift,
-        noise_scale=cfg.noise_scale,
-        mean_scale=cfg.mean_scale,
-    )
+    base = replace(TASK, domain_shift=cfg.domain_shift)
     train_a, held_a = gen_synthetic(replace(base, domains=(0,)), seed)
     train_b, held_b = gen_synthetic(replace(base, domains=(1,)), seed)
     train_u = concat_datasets(train_a, train_b)
     held_u = concat_datasets(held_a, held_b)
 
-    specs = _model_specs(cfg)
+    specs = _model_specs()
     target = train(
         specs,
         train_a,
-        TrainConfig(cfg.train_epochs, cfg.batch_size, cfg.learning_rate, _child_seed(seed, 1)),
+        TrainConfig(cfg.train_epochs, BATCH_SIZE, LEARNING_RATE, _child_seed(seed, 1)),
     )
     broad = train(
         specs,
         train_u,
-        TrainConfig(cfg.train_epochs, cfg.batch_size, cfg.learning_rate, _child_seed(seed, 2)),
+        TrainConfig(cfg.train_epochs, BATCH_SIZE, LEARNING_RATE, _child_seed(seed, 2)),
     )
 
-    ft = TrainConfig(
-        cfg.finetune_epochs, cfg.batch_size, cfg.finetune_lr, _child_seed(seed, 3)
-    )
-    opts = AlignmentOptions(solver=cfg.solver, lam=cfg.lam)
+    ft = TrainConfig(cfg.finetune_epochs, BATCH_SIZE, FINETUNE_LR, _child_seed(seed, 3))
+    opts = AlignmentOptions(solver=cfg.solver)
 
     direct = direct_average(target, broad, cfg.lam)
     aligned = fuse(align(target, broad, opts).aligned, broad, cfg.lam)

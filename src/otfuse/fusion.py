@@ -47,9 +47,9 @@ SOLVERS = ("exact", "sinkhorn")
 
 @dataclass(frozen=True)
 class AlignmentOptions:
-    """Knobs for the layer-wise alignment.
+    """Knobs for the layer-wise alignment.  The blend weight is not one of
+    them: it is passed to ``fuse`` (or ``fuse_pipeline``) after aligning.
 
-    ``lam`` is the blend weight used downstream by ``fuse`` (0.5 averages).
     ``fix_last_layer`` pins the output layer's map to the identity so class
     logits keep their meaning.  ``cost_on_aligned_inputs`` computes the row
     distances after input alignment; turning it off compares raw rows.
@@ -60,7 +60,6 @@ class AlignmentOptions:
     solver: str = "exact"
     sinkhorn_eps: float | None = None  # None -> 0.01 * mean(cost), per layer
     cost_on_aligned_inputs: bool = True
-    lam: float = 0.5
     fix_last_layer: bool = True
     bias_in_cost: bool = False
 
@@ -80,8 +79,6 @@ class AlignmentResult:
 def _validate_options(opts: AlignmentOptions) -> None:
     if opts.solver not in SOLVERS:
         raise ValidationError(f"unknown solver {opts.solver!r}; expected one of {SOLVERS}")
-    if not 0.0 <= opts.lam <= 1.0:
-        raise ValidationError(f"lam must lie in [0, 1], got {opts.lam}")
 
 
 def _check_same_architecture(a: Checkpoint, b: Checkpoint, op: str) -> None:
@@ -186,12 +183,9 @@ def fuse_pipeline(
     opts: AlignmentOptions,
     finetune_data: Dataset,
     cfg: TrainConfig | None = None,
+    lam: float = 0.5,
 ) -> Checkpoint:
-    """Align, fuse, then moderately fine-tune the blended model."""
+    """Align, fuse with blend weight ``lam`` (see ``fuse``), then moderately
+    fine-tune the blended model (``finetune``'s short run when ``cfg`` is None)."""
     result = align(model_a, model_b, opts)
-    fused = fuse(result.aligned, model_b, opts.lam)
-    if cfg is None:
-        cfg = TrainConfig(epochs=10)
-    if cfg.epochs == 0:
-        return fused
-    return finetune(fused, finetune_data, cfg)
+    return finetune(fuse(result.aligned, model_b, lam), finetune_data, cfg)

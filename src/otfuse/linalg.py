@@ -27,16 +27,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-def as_vector(a, name: str = "vector") -> np.ndarray:
-    """Coerce ``a`` to a 1-D float64 array and validate finiteness."""
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be 1-D, got ndim={arr.ndim}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} contains non-finite entries")
-    return np.ascontiguousarray(arr)
-
-
 def _check_finite(out: np.ndarray, op: str) -> np.ndarray:
     if not np.isfinite(out).all():
         raise NumericalError(f"{op} produced non-finite entries")

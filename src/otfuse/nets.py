@@ -40,7 +40,6 @@ class LayerWeights:
 
 @dataclass(frozen=True)
 class CheckpointMeta:
-    format_version: int = 1
     seed: int = 0
     training_epochs: int = 0
     tag: str = ""
@@ -62,6 +61,16 @@ class TrainConfig:
     learning_rate: float = 0.1
     seed: int = 0
     shuffle: bool = True
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValidationError("epochs must be >= 0")
+        if self.batch_size < 1:
+            raise ValidationError("batch_size must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValidationError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
 
 
 def validate_spec_chain(specs) -> tuple[LayerSpec, ...]:
@@ -89,10 +98,6 @@ def validate_spec_chain(specs) -> tuple[LayerSpec, ...]:
 
 def validate_checkpoint(ckpt: Checkpoint) -> Checkpoint:
     validate_spec_chain(ckpt.specs)
-    if ckpt.meta.format_version != 1:
-        raise ValidationError(
-            f"unrecognized checkpoint format_version {ckpt.meta.format_version}"
-        )
     if len(ckpt.layers) != len(ckpt.specs):
         raise ValidationError(
             f"checkpoint has {len(ckpt.layers)} weight layers for "
@@ -169,15 +174,6 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     return z
 
 
-def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return (z > 0.0).astype(np.float64)
-    if kind == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    return np.ones_like(z)
-
-
 def forward_batch(ckpt: Checkpoint, x: np.ndarray) -> np.ndarray:
     """Logits for a batch of feature rows (num_samples x in_dim)."""
     x = np.asarray(x, dtype=np.float64)
@@ -249,14 +245,9 @@ def _backprop(specs, ws, bs, x: np.ndarray, labels: np.ndarray) -> list[tuple[np
     """
     n = x.shape[0]
 
-    pre = []  # pre-activations per layer
     acts = [x]  # post-activations, acts[0] is the input
-    a = x
     for spec, w, b in zip(specs, ws, bs):
-        z = a @ w.T + b
-        pre.append(z)
-        a = _activate(z, spec.activation)
-        acts.append(a)
+        acts.append(_activate(acts[-1] @ w.T + b, spec.activation))
 
     logits = acts[-1]
     m = logits.max(axis=1, keepdims=True)
@@ -268,8 +259,12 @@ def _backprop(specs, ws, bs, x: np.ndarray, labels: np.ndarray) -> list[tuple[np
 
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(ws)  # type: ignore[list-item]
     for i in range(len(ws) - 1, -1, -1):
-        if specs[i].activation != "identity":
-            delta = delta * _activate_grad(pre[i], specs[i].activation)
+        # derivatives from the layer's output, so no pre-activations are kept
+        a = acts[i + 1]
+        if specs[i].activation == "relu":
+            delta = delta * (a > 0.0)
+        elif specs[i].activation == "tanh":
+            delta = delta * (1.0 - a * a)
         grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
         if i > 0:
             delta = delta @ ws[i]
@@ -298,8 +293,6 @@ def _sgd_epochs(ckpt: Checkpoint, data: Dataset, cfg: TrainConfig, rng) -> tuple
     ws = [layer.w.copy() for layer in ckpt.layers]
     bs = [layer.b.copy() for layer in ckpt.layers]
     n = data.features.shape[0]
-    if cfg.batch_size < 1:
-        raise ValidationError("batch_size must be positive")
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
             order = rng.permutation(n) if cfg.shuffle else np.arange(n)
@@ -320,10 +313,6 @@ def train(specs, data: Dataset, cfg: TrainConfig) -> Checkpoint:
     """Minibatch SGD from a seeded initialization; deterministic in cfg.seed."""
     specs = validate_spec_chain(specs)
     validate_dataset(data)
-    if cfg.epochs < 0:
-        raise ValidationError("epochs must be >= 0")
-    if cfg.learning_rate <= 0:
-        raise ValidationError("learning_rate must be positive")
     start = init_checkpoint(specs, cfg.seed, tag="trained")
     _check_model_data(start, data)
     rng = seeded_rng(cfg.seed)
@@ -339,10 +328,6 @@ def finetune(ckpt: Checkpoint, data: Dataset, cfg: TrainConfig | None = None) ->
     validate_checkpoint(ckpt)
     if cfg is None:
         cfg = TrainConfig(epochs=DEFAULT_FINETUNE_EPOCHS)
-    if cfg.epochs < 0:
-        raise ValidationError("epochs must be >= 0")
-    if cfg.learning_rate <= 0:
-        raise ValidationError("learning_rate must be positive")
     _check_model_data(ckpt, data)
     if cfg.epochs == 0:
         return ckpt

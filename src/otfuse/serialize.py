@@ -30,6 +30,15 @@ def encode_float64(arr: np.ndarray) -> str:
     return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
 
 
+def json_int(value) -> int:
+    """``value`` itself if it is a JSON integer.  Bools, floats (even
+    integral ones) and strings raise ``TypeError`` rather than being
+    coerced, so ``true`` or ``2.7`` is never read as 1 or 2."""
+    if type(value) is not int:
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def _decode(text: str, count: int, what: str) -> np.ndarray:
     try:
         raw = base64.b64decode(text, validate=True)
@@ -61,9 +70,10 @@ def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
 def checkpoint_from_dict(doc: dict) -> Checkpoint:
     if not isinstance(doc, dict):
         raise CheckpointFormatError("checkpoint document is not an object")
-    version = doc.get("format_version")
-    if not isinstance(version, int):
-        raise CheckpointFormatError("missing or non-integer format_version")
+    try:
+        version = json_int(doc.get("format_version"))
+    except TypeError as exc:
+        raise CheckpointFormatError("missing or non-integer format_version") from exc
     if version != FORMAT_VERSION:
         raise CheckpointVersionError(
             f"unsupported checkpoint format_version {version}; "
@@ -86,16 +96,15 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
         )
     try:
         specs = tuple(
-            LayerSpec(int(s["in_dim"]), int(s["out_dim"]), str(s["activation"]))
+            LayerSpec(json_int(s["in_dim"]), json_int(s["out_dim"]), str(s["activation"]))
             for s in specs_doc
         )
         meta = CheckpointMeta(
-            format_version=version,
-            seed=int(meta_doc.get("seed", 0)),
-            training_epochs=int(meta_doc.get("training_epochs", 0)),
+            seed=json_int(meta_doc.get("seed", 0)),
+            training_epochs=json_int(meta_doc.get("training_epochs", 0)),
             tag=str(meta_doc.get("tag", "")),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"malformed checkpoint fields: {exc}") from exc
 
     layers = []

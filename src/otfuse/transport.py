@@ -73,16 +73,17 @@ def identity_map(m: int) -> TransportMap:
     return TransportMap(np.eye(m) / m)
 
 
-def hard_permutation(tm: TransportMap, rtol: float = 1e-9) -> np.ndarray | None:
-    """Exact 0/1 permutation matrix if the map is a scaled permutation, else None."""
+def hard_permutation(tm: TransportMap) -> np.ndarray | None:
+    """Exact 0/1 permutation matrix if the map is a scaled permutation (every
+    entry within 1e-9/m of 0 or 1/m), else None."""
     t = tm.matrix
     m = t.shape[0]
     nonzero = t > (0.5 / m)
     if not (
         (nonzero.sum(axis=0) == 1).all()
         and (nonzero.sum(axis=1) == 1).all()
-        and np.abs(t[nonzero] - 1.0 / m).max() <= rtol / m
-        and np.abs(t[~nonzero]).max() <= rtol / m
+        and np.abs(t[nonzero] - 1.0 / m).max() <= 1e-9 / m
+        and np.abs(t[~nonzero]).max() <= 1e-9 / m
     ):
         return None
     return nonzero.astype(np.float64)

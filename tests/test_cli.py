@@ -262,6 +262,20 @@ class TestExitCodes:
         assert main(args) == 2
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim", [8.7, 8.0, "8", True])
+    def test_non_integer_arch_dim_is_two(self, workdir, capsys, dim):
+        arch = workdir / "arch.json"
+        arch.write_text(json.dumps([dict(ARCH[0], in_dim=dim), ARCH[1]]))
+        assert main(["train", str(arch), str(workdir / "train.csv"),
+                     "--epochs", "1", "--out", str(workdir / "x.json")]) == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--batch-size", "0"), ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"),
+    ])
+    def test_bad_train_setting_is_two(self, workdir, capsys, flag, value):
+        assert main(["train", str(workdir / "arch.json"), str(workdir / "train.csv"),
+                     "--epochs", "1", flag, value, "--out", str(workdir / "x.json")]) == 2
+
     def test_label_beyond_model_classes_is_two(self, workdir, capsys):
         ckpt = workdir / "model.json"
         assert main(["train", str(workdir / "arch.json"), str(workdir / "train.csv"),

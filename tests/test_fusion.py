@@ -236,7 +236,7 @@ class TestPipeline:
         a, b, tr = trained_pair(seed=5, epochs=10)
         opts = AlignmentOptions()
         out = fuse_pipeline(a, b, opts, tr, TrainConfig(epochs=0))
-        ref = fuse(align(a, b, opts).aligned, b, opts.lam)
+        ref = fuse(align(a, b, opts).aligned, b, 0.5)
         assert checkpoints_equal(out, ref)
 
     def test_self_pipeline_equals_finetuning_the_model(self):

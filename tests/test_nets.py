@@ -202,6 +202,14 @@ class TestTrain:
         with pytest.raises(NumericalError):
             train(specs, data, TrainConfig(epochs=50, learning_rate=1e9, seed=0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", -1), ("batch_size", 0), ("learning_rate", 0.0), ("learning_rate", -0.1),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+    ])
+    def test_config_rejects_bad_values(self, field, value):
+        with pytest.raises(ValidationError):
+            TrainConfig(**{field: value})
+
     def test_records_seed_in_meta(self):
         rng = np.random.default_rng(5)
         data = two_blob_dataset(rng)

@@ -116,10 +116,20 @@ def test_golden_minimal_one_layer_file(tmp_path):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("specs", 5), ("layers", 7), ("specs", {"in_dim": 2}), ("meta", [1]), ("meta", "x")],
+    [("specs", 5), ("layers", 7), ("specs", {"in_dim": 2}), ("meta", [1]), ("meta", "x"),
+     # integers must be JSON integers: no bool, float or string is coerced
+     ("format_version", True), ("format_version", 1.0), ("specs.0.in_dim", 6.7),
+     ("specs.2.out_dim", "5"), ("meta.seed", 3.9), ("meta.training_epochs", 2.0),
+     ("meta.seed", False)],
 )
 def test_wrongly_typed_top_level_field_is_corrupt(field, value):
+    """``field`` is a dotted path.  Spec 0 has in_dim 6 and spec 2 out_dim 5,
+    so coercing 6.7 or "5" to an int would load without complaint."""
     doc = checkpoint_to_dict(random_checkpoint(np.random.default_rng(7)))
-    doc[field] = value
+    *parents, last = field.split(".")
+    target = doc
+    for key in parents:
+        target = target[int(key) if key.isdigit() else key]
+    target[last] = value
     with pytest.raises(CheckpointFormatError):
         checkpoint_from_dict(doc)
