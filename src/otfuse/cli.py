@@ -72,7 +72,7 @@ def _load_arch(path) -> tuple[LayerSpec, ...]:
             )
             for e in doc
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DataFormatError(f"{path}: malformed layer entry ({exc})") from exc
 
 

@@ -47,8 +47,7 @@ SOLVERS = ("exact", "sinkhorn")
 
 @dataclass(frozen=True)
 class AlignmentOptions:
-    """Knobs for the layer-wise alignment.  The blend weight is not one of
-    them: it is passed to ``fuse`` (or ``fuse_pipeline``) after aligning.
+    """Knobs for the layer-wise alignment.
 
     ``fix_last_layer`` pins the output layer's map to the identity so class
     logits keep their meaning.  ``cost_on_aligned_inputs`` computes the row
@@ -183,9 +182,11 @@ def fuse_pipeline(
     opts: AlignmentOptions,
     finetune_data: Dataset,
     cfg: TrainConfig | None = None,
-    lam: float = 0.5,
 ) -> Checkpoint:
-    """Align, fuse with blend weight ``lam`` (see ``fuse``), then moderately
-    fine-tune the blended model (``finetune``'s short run when ``cfg`` is None)."""
-    result = align(model_a, model_b, opts)
-    return finetune(fuse(result.aligned, model_b, lam), finetune_data, cfg)
+    """Align, average (``fuse``'s default blend), then fine-tune briefly
+    (``finetune``'s short run when ``cfg`` is None; none at zero epochs).
+    For another blend weight call ``align``, ``fuse`` and ``finetune``."""
+    fused = fuse(align(model_a, model_b, opts).aligned, model_b)
+    if cfg is not None and cfg.epochs == 0:
+        return fused
+    return finetune(fused, finetune_data, cfg)

@@ -104,7 +104,7 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
             training_epochs=json_int(meta_doc.get("training_epochs", 0)),
             tag=str(meta_doc.get("tag", "")),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise CheckpointFormatError(f"malformed checkpoint fields: {exc}") from exc
 
     layers = []

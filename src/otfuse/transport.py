@@ -83,7 +83,7 @@ def hard_permutation(tm: TransportMap) -> np.ndarray | None:
         (nonzero.sum(axis=0) == 1).all()
         and (nonzero.sum(axis=1) == 1).all()
         and np.abs(t[nonzero] - 1.0 / m).max() <= 1e-9 / m
-        and np.abs(t[~nonzero]).max() <= 1e-9 / m
+        and np.abs(t[~nonzero]).max(initial=0.0) <= 1e-9 / m
     ):
         return None
     return nonzero.astype(np.float64)

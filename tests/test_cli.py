@@ -6,6 +6,7 @@ import pytest
 from otfuse.cli import main
 from otfuse.data import DomainMixtureConfig, gen_synthetic, save_dataset_csv
 from otfuse.fusion import AlignmentOptions, align
+from otfuse.nets import LayerSpec
 from otfuse.serialize import load_checkpoint, save_checkpoint
 from helpers import random_checkpoint
 
@@ -95,6 +96,18 @@ def test_align_self_reports_zero_objectives(workdir, capsys):
         if line and line.split()[0].isdigit()
     ]
     assert lines and all(float(parts[2]) == 0.0 for parts in lines)
+
+
+def test_align_with_one_unit_output_layer(workdir, capsys):
+    specs = (LayerSpec(3, 4, "relu"), LayerSpec(4, 1, "identity"))
+    for name, seed in (("a.json", 0), ("b.json", 1)):
+        save_checkpoint(random_checkpoint(np.random.default_rng(seed), specs), workdir / name)
+    rc = main([
+        "align", str(workdir / "a.json"), str(workdir / "b.json"),
+        "--out", str(workdir / "aligned.json"),
+    ])
+    assert rc == 0
+    assert load_checkpoint(workdir / "aligned.json").specs == specs
 
 
 def test_align_warns_on_unconverged_layers(workdir, capsys):
@@ -289,8 +302,6 @@ class TestExitCodes:
 
     def test_shape_mismatch_is_two(self, workdir, capsys):
         rng = np.random.default_rng(0)
-        from otfuse.nets import LayerSpec
-
         ckpt = random_checkpoint(rng, (LayerSpec(4, 2, "identity"),))
         path = workdir / "tiny.json"
         save_checkpoint(ckpt, path)

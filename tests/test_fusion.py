@@ -239,6 +239,14 @@ class TestPipeline:
         ref = fuse(align(a, b, opts).aligned, b, 0.5)
         assert checkpoints_equal(out, ref)
 
+    def test_zero_epochs_skips_the_finetune_data_check(self):
+        a, b, _ = trained_pair(seed=5, epochs=10)
+        wrong_width, _ = gen_synthetic(DomainMixtureConfig(num_classes=4, feature_dim=3), 0)
+        out = fuse_pipeline(a, b, AlignmentOptions(), wrong_width, TrainConfig(epochs=0))
+        assert checkpoints_equal(out, fuse(align(a, b).aligned, b))
+        with pytest.raises(ValidationError):
+            fuse_pipeline(a, b, AlignmentOptions(), wrong_width, TrainConfig(epochs=1))
+
     def test_self_pipeline_equals_finetuning_the_model(self):
         a, _, tr = trained_pair(seed=6, epochs=10)
         cfg = TrainConfig(epochs=10, batch_size=32, learning_rate=0.01, seed=99)

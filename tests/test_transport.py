@@ -308,3 +308,6 @@ class TestTransportMapValidation:
         assert np.array_equal(p, np.eye(2))
         soft = solve_sinkhorn(np.zeros((2, 2)))
         assert hard_permutation(soft.map) is None
+
+    def test_hard_permutation_of_one_by_one_map(self):
+        assert np.array_equal(hard_permutation(identity_map(1)), np.eye(1))
