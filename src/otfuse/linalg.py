@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 
-_ROW_BLOCK = 16  # rows of the first operand per difference block
+_BLOCK_BYTES = 256 * 1024  # difference block budget of row_distance_matrix
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -56,9 +56,11 @@ def row_distance_matrix(a, b) -> np.ndarray:
 
     Both inputs must have the same shape; the result ``D`` is square with
     ``D[i, j] = ||a_i - b_j||_2``.  Differences are formed explicitly so that
-    identical rows produce an exactly-zero distance.  They are built
-    ``_ROW_BLOCK`` rows of ``a`` at a time, so memory stays at the m x m
-    result plus a ``_ROW_BLOCK`` x m x k block.
+    identical rows produce an exactly-zero distance.  They are built one
+    block of row pairs at a time in a reused buffer of at most 256 KiB:
+    several rows of ``a`` against all of ``b`` while that fits, else one row
+    of ``a`` against as many rows of ``b`` as fit (at least one).  Memory
+    stays at the m x m result plus that buffer at any width.
     """
     a = as_matrix(a, "first matrix")
     b = as_matrix(b, "second matrix")
@@ -71,9 +73,16 @@ def row_distance_matrix(a, b) -> np.ndarray:
             f"row_distance_matrix needs equal row counts for a square cost, "
             f"got {a.shape} vs {b.shape}"
         )
-    out = np.empty((a.shape[0], b.shape[0]))
-    for start in range(0, a.shape[0], _ROW_BLOCK):
-        diff = a[start : start + _ROW_BLOCK, None, :] - b[None, :, :]
-        np.einsum("ijk,ijk->ij", diff, diff, out=out[start : start + _ROW_BLOCK])
+    m, k = a.shape
+    cols = max(1, min(m, _BLOCK_BYTES // (8 * k)))  # rows of b per block
+    rows = max(1, _BLOCK_BYTES // (8 * k * cols))  # rows of a per block
+    buf = np.empty(min(rows, m) * cols * k)
+    out = np.empty((m, m))
+    for i in range(0, m, rows):
+        for j in range(0, m, cols):
+            a_blk, b_blk = a[i : i + rows], b[j : j + cols]
+            diff = buf[: len(a_blk) * len(b_blk) * k].reshape(len(a_blk), len(b_blk), k)
+            np.subtract(a_blk[:, None, :], b_blk[None, :, :], out=diff)
+            np.einsum("ijk,ijk->ij", diff, diff, out=out[i : i + rows, j : j + cols])
     np.sqrt(out, out=out)
     return _check_finite(out, "row_distance_matrix")

@@ -2,8 +2,11 @@
 
 With both marginals uniform and a square cost matrix, the transport problem
 is a linear assignment problem: its optimum is a permutation matrix scaled
-by 1/m.  ``solve_exact`` finds that vertex with a shortest augmenting path
-solver, then refines ties to the lexicographically smallest optimal
+by 1/m.  ``solve_exact`` finds that vertex with the Jonker-Volgenant
+algorithm (Computing 38, 1987): column reduction and augmenting row
+reduction warm-start the duals and assign most rows, then one Dijkstra
+shortest augmenting path search per row still free completes the
+matching.  It then refines ties to the lexicographically smallest optimal
 assignment by alternating-cycle search, so results are bit-reproducible;
 the whole solve, tie refinement included, is O(m^3).  ``solve_sinkhorn``
 returns the entropic soft coupling from one scaling loop on a kernel that
@@ -111,49 +114,113 @@ def _check_cost(cost) -> np.ndarray:
     return np.ascontiguousarray(d)
 
 
-def _lap_shortest_path(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Min-cost perfect assignment via successive shortest augmenting paths.
+def _jonker_volgenant(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Min-cost perfect assignment in the three phases of Jonker & Volgenant,
+    *A shortest augmenting path algorithm for dense and sparse linear
+    assignment problems*, Computing 38 (1987).
 
-    Returns (col_for_row, u, v) where u, v are 1-indexed dual potentials
-    (index 0 is a sentinel).  Each row's search scans unassigned columns
-    first, so a tied minimum that includes a free column ends the search
-    there instead of growing the path (Jonker & Volgenant, 1987).
+    1. Column reduction: v_j = min_i c_ij; scanning columns from last to
+       first, each column takes its argmin row while that row is free.
+    2. Augmenting row reduction, two passes over the free rows: a row takes
+       the column of its smallest reduced cost c_ij - v_j and lowers that
+       column's v until the cost matches its second smallest, or, when the
+       two tie and the first column is assigned, takes the second column.
+       A row this displaces is retried in the same pass after a strict
+       decrease, else in the next; a pass visits at most 4 m rows, so it
+       cannot cycle.
+    3. One Dijkstra search on reduced costs per row still free.  Columns
+       tied at the minimum end the search at a free column, and the duals
+       of the scanned columns are updated once, when the search ends.
+
+    Throughout, every assigned row's column minimises c_ij - v_j over j,
+    so u_i = c_i,col(i) - v_col(i) completes a feasible dual that is tight
+    on the matching.  Returns (col_for_row, u, v, searches) where u, v are
+    1-indexed (index 0 is a sentinel) and ``searches`` counts phase 3's
+    searches.
     """
     n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    row_for_col = np.zeros(n + 1, dtype=np.int64)  # 1-indexed, 0 = unassigned
-    way = np.zeros(n + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        assigned = row_for_col[1:] != 0
-        order = np.concatenate((np.flatnonzero(~assigned), np.flatnonzero(assigned))) + 1
-        row_for_col[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = row_for_col[j0]
-            idx = order[~used[order]]
-            cur = cost[i0 - 1, idx - 1] - u[i0] - v[idx]
-            better = cur < minv[idx]
-            minv[idx] = np.where(better, cur, minv[idx])
-            way[idx[better]] = j0
-            k = int(np.argmin(minv[idx]))  # ties resolve to a free column first
-            j1 = int(idx[k])
-            delta = minv[j1]
-            u[row_for_col[used]] += delta
-            v[used] -= delta
-            minv[idx] -= delta
-            j0 = j1
-            if row_for_col[j0] == 0:
+    col_for_row = np.full(n, -1, dtype=np.int64)
+    row_for_col = np.full(n, -1, dtype=np.int64)
+    v = cost.min(axis=0)
+    # the last column with argmin row i is the first one the reversed scan meets
+    rows, first = np.unique(cost.argmin(axis=0)[::-1], return_index=True)
+    col_for_row[rows] = n - 1 - first
+    row_for_col[n - 1 - first] = rows
+    free = np.flatnonzero(col_for_row < 0).tolist()
+
+    for _ in range(2):
+        stack, free = free[::-1], []
+        for _ in range(4 * n):
+            if not stack:
                 break
-        while j0:
-            j1 = int(way[j0])
-            row_for_col[j0] = row_for_col[j1]
-            j0 = j1
-    col_for_row = np.zeros(n, dtype=np.int64)
-    col_for_row[row_for_col[1:] - 1] = np.arange(n)
+            i = stack.pop()
+            h = cost[i] - v
+            j1 = int(h.argmin())
+            h1 = h[j1]
+            h[j1] = np.inf
+            j2 = int(h.argmin())
+            h2 = h[j2]
+            i0 = int(row_for_col[j1])
+            if h1 < h2:
+                v[j1] -= h2 - h1
+            elif i0 >= 0:
+                j1 = j2
+                i0 = int(row_for_col[j2])
+            col_for_row[i] = j1
+            row_for_col[j1] = i
+            if i0 >= 0:
+                col_for_row[i0] = -1
+                (stack if h1 < h2 else free).append(i0)
+        free.extend(reversed(stack))
+
+    pred = np.empty(n, dtype=np.int64)
+    h = np.empty(n)
+    for f in free:
+        free_cols = np.flatnonzero(row_for_col < 0)
+        d = cost[f] - v  # tentative distances; +inf once a column is scanned
+        w = v.copy()  # -inf on scanned columns, so relaxing never reaches them
+        pred[:] = f
+        scanned, dist = [], []
+        while True:
+            j = int(d.argmin())
+            mu = d[j]
+            if row_for_col[j] >= 0:
+                at_free = d[free_cols]
+                k = int(at_free.argmin())
+                if at_free[k] <= mu:
+                    j = int(free_cols[k])
+            if row_for_col[j] < 0:
+                break
+            scanned.append(j)
+            dist.append(mu)
+            d[j] = np.inf
+            w[j] = -np.inf
+            i = row_for_col[j]
+            np.subtract(cost[i], w, out=h)
+            h += mu - (cost[i, j] - v[j])
+            better = h < d
+            np.minimum(d, h, out=d)
+            pred[better] = i
+        v[scanned] += np.asarray(dist) - mu
+        while True:
+            i = int(pred[j])
+            row_for_col[j] = i
+            j, col_for_row[i] = int(col_for_row[i]), j
+            if i == f:
+                break
+
+    u = cost[np.arange(n), col_for_row] - v[col_for_row]
+    return col_for_row, np.concatenate(([0.0], u)), np.concatenate(([0.0], v)), len(free)
+
+
+def _lap_shortest_path(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jonker-Volgenant (1987) assignment: column reduction, augmenting row
+    reduction, then Dijkstra searches; see ``_jonker_volgenant``.
+
+    Returns (col_for_row, u, v) where u, v are 1-indexed dual potentials
+    (index 0 is a sentinel).
+    """
+    col_for_row, u, v, _ = _jonker_volgenant(cost)
     return col_for_row, u, v
 
 
@@ -219,15 +286,15 @@ def solve_exact(cost) -> OtSolution:
 
     The optimum is a permutation matrix scaled by 1/m; ties between equally
     cheap assignments break toward the lowest row index, then the lowest
-    column index.
+    column index.  ``iterations`` counts the shortest-path searches left
+    after the Jonker-Volgenant reductions (0 when they assign every row).
     """
     d = _check_cost(cost)
-    n = d.shape[0]
-    col_for_row, u, v = _lap_shortest_path(d)
+    col_for_row, u, v, searches = _jonker_volgenant(d)
     tol = 1e-9 * max(1.0, float(d.max()))
     reduced = d - u[1:, None] - v[None, 1:]
     assign = _lex_smallest_assignment(reduced <= tol, col_for_row)
-    return _permutation_solution(d, assign, "exact", iterations=n)
+    return _permutation_solution(d, assign, "exact", iterations=searches)
 
 
 def brute_force_ot(cost) -> OtSolution:

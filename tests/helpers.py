@@ -123,6 +123,56 @@ def _lex_smallest_assignment(zero: np.ndarray) -> np.ndarray:
     return assign
 
 
+# The assignment oracle: the earlier cold-start solver, one shortest
+# augmenting path search per row from zero duals, updating every dual at
+# each step.  Independent of the Jonker-Volgenant reductions solve_exact
+# now starts from.
+def reference_lap(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Min-cost perfect assignment via successive shortest augmenting paths.
+
+    Returns (col_for_row, u, v) where u, v are 1-indexed dual potentials
+    (index 0 is a sentinel).  Each row's search scans unassigned columns
+    first, so a tied minimum that includes a free column ends the search
+    there instead of growing the path (Jonker & Volgenant, 1987).
+    """
+    n = cost.shape[0]
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    row_for_col = np.zeros(n + 1, dtype=np.int64)  # 1-indexed, 0 = unassigned
+    way = np.zeros(n + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        assigned = row_for_col[1:] != 0
+        order = np.concatenate((np.flatnonzero(~assigned), np.flatnonzero(assigned))) + 1
+        row_for_col[0] = i
+        j0 = 0
+        minv = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = row_for_col[j0]
+            idx = order[~used[order]]
+            cur = cost[i0 - 1, idx - 1] - u[i0] - v[idx]
+            better = cur < minv[idx]
+            minv[idx] = np.where(better, cur, minv[idx])
+            way[idx[better]] = j0
+            k = int(np.argmin(minv[idx]))  # ties resolve to a free column first
+            j1 = int(idx[k])
+            delta = minv[j1]
+            u[row_for_col[used]] += delta
+            v[used] -= delta
+            minv[idx] -= delta
+            j0 = j1
+            if row_for_col[j0] == 0:
+                break
+        while j0:
+            j1 = int(way[j0])
+            row_for_col[j0] = row_for_col[j1]
+            j0 = j1
+    col_for_row = np.zeros(n, dtype=np.int64)
+    col_for_row[row_for_col[1:] - 1] = np.arange(n)
+    return col_for_row, u, v
+
+
 # The Sinkhorn oracle: the earlier two-path solver, a plain kernel loop and a
 # log-domain loop chosen by max(cost) / eps, each forming the full coupling
 # and checking both marginals every iteration.

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -92,26 +94,48 @@ class TestRowDistanceMatrix:
             row_distance_matrix(a, b), row_distance_matrix(b, a).T, atol=1e-12
         )
 
-    @pytest.mark.parametrize("m", [1, 15, 16, 17, 33])
-    def test_row_blocks_match_one_shot_formula(self, m):
-        # sizes around the 16-row block: the blocked build must be
-        # bit-identical to forming every difference at once
+    @pytest.mark.parametrize(
+        "m, ks",
+        [pytest.param(m, (1, 7, 24), id=str(m)) for m in (1, 15, 16, 17, 33)]
+        + [pytest.param(100, (100,), id="100x100"), pytest.param(181, (200,), id="181x200")],
+    )
+    def test_row_blocks_match_one_shot_formula(self, m, ks):
+        # the blocked build must be bit-identical to forming every
+        # difference at once: whole-matrix blocks, blocks of 3 rows of a
+        # that do not divide m (100x100), and one row of a against part of
+        # b (181x200)
         rng = np.random.default_rng(100 + m)
-        for k in (1, 7, 24):
+        for k in ks:
             a = rng.standard_normal((m, k))
             b = rng.standard_normal((m, k))
             diff = a[:, None, :] - b[None, :, :]
             expected = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
             assert np.array_equal(row_distance_matrix(a, b), expected)
 
-    @pytest.mark.parametrize("m", [1, 15, 16, 17, 33])
-    def test_row_blocks_keep_exact_zeros(self, m):
+    @pytest.mark.parametrize(
+        "m, k",
+        [pytest.param(m, 5, id=str(m)) for m in (1, 15, 16, 17, 33)]
+        + [pytest.param(m, k, id=f"{m}x{k}") for m, k in ((100, 100), (181, 200), (300, 300))],
+    )
+    def test_row_blocks_keep_exact_zeros(self, m, k):
         rng = np.random.default_rng(200 + m)
-        a = rng.standard_normal((m, 5))
+        a = rng.standard_normal((m, k))
         b = a[::-1].copy()
         d = row_distance_matrix(a, b)
         rows = np.arange(m)
         assert (d[rows, m - 1 - rows] == 0.0).all()
+
+    def test_memory_stays_near_the_result(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((512, 512))
+        b = rng.standard_normal((512, 512))
+        tracemalloc.start()
+        try:
+            row_distance_matrix(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 512 * 8 + 2**20  # the 2 MiB result plus 1 MiB
 
     def test_column_mismatch_rejected(self):
         with pytest.raises(ValidationError):

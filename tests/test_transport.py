@@ -18,7 +18,7 @@ from otfuse.transport import (
     validate_transport_map,
 )
 from helpers import _lex_smallest_assignment as kuhn_lex_assignment
-from helpers import reference_sinkhorn
+from helpers import reference_lap, reference_sinkhorn
 
 
 def naive_objective(t, d):
@@ -108,6 +108,14 @@ class TestSolveExact:
             for sol in (solve_exact(d), brute_force_ot(d), solve_sinkhorn(d, eps=0.2)):
                 assert abs(sol.objective - ot_objective(sol.map, d)) <= 1e-10
 
+    def test_iterations_count_searches_left_by_reductions(self):
+        # column reduction alone assigns every row of a cost whose zero
+        # diagonal is its only column minimum
+        rng = np.random.default_rng(5)
+        d = rng.uniform(0.5, 2, (12, 12))
+        np.fill_diagonal(d, 0.0)
+        assert solve_exact(d).iterations == 0
+
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError):
             solve_exact(np.zeros((2, 3)))
@@ -140,6 +148,37 @@ class TestTieRefinement:
         for m in (1, 2, 17, 64, 256):
             sol = solve_exact(np.zeros((m, m)))
             assert np.array_equal(sol.map.matrix, np.eye(m) / m)
+        # every assignment of a_i + b_j costs is optimal; rounding breaks
+        # the ties by ulps, and at this draw the row reduction keeps moving
+        # rows until its per-pass visit cap stops it
+        rng = np.random.default_rng(2)
+        d = rng.uniform(0, 1, 256)[:, None] + rng.uniform(0, 1, 256)[None, :]
+        assert np.array_equal(solve_exact(d).map.matrix, np.eye(256) / 256)
+
+    def test_warm_start_matches_reference_lap(self):
+        rng = np.random.default_rng(41)
+        for trial in range(250):
+            m = int(rng.integers(1, 49))
+            kind = trial % 5
+            if kind == 0:
+                d = rng.uniform(0, 1, (m, m))
+            elif kind == 1:
+                d = rng.integers(0, 3, (m, m)).astype(np.float64)
+            elif kind == 2:
+                d = np.zeros((m, m))
+            elif kind == 3:
+                d = rng.uniform(0, 1, (m, m))[rng.integers(0, m, m)]
+            else:
+                d = rng.uniform(0, 1, m)[:, None] + rng.uniform(0, 1, m)[None, :]
+            tol = 1e-9 * max(1.0, float(d.max()))
+            col, u, v = _lap_shortest_path(d)
+            reduced = d - u[1:, None] - v[None, 1:]
+            assert reduced.min() >= -tol
+            assert np.abs(reduced[np.arange(m), col]).max() <= tol
+            ref_col, ref_u, ref_v = reference_lap(d)
+            ref_zero = d - ref_u[1:, None] - ref_v[None, 1:] <= tol
+            expected = _lex_smallest_assignment(ref_zero, ref_col)
+            assert np.array_equal(_assignment(solve_exact(d)), expected)
 
     def test_matching_outside_zero_graph_rejected(self):
         zero = np.eye(4, dtype=bool)
