@@ -4,7 +4,6 @@ from .data import (
     Dataset,
     DomainMixtureConfig,
     concat_datasets,
-    datasets_equal,
     gen_synthetic,
     load_dataset_csv,
     make_dataset,
@@ -26,9 +25,8 @@ from .fusion import (
     align,
     direct_average,
     fuse,
-    fuse_pipeline,
 )
-from .linalg import matmul, row_distance_matrix, transpose
+from .linalg import row_distance_matrix
 from .nets import (
     Checkpoint,
     CheckpointMeta,
@@ -36,9 +34,7 @@ from .nets import (
     LayerWeights,
     TrainConfig,
     accuracy,
-    checkpoints_equal,
     finetune,
-    forward,
     forward_batch,
     init_checkpoint,
     interpolate,

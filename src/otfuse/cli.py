@@ -16,7 +16,7 @@ from pathlib import Path
 from .data import Dataset, load_dataset_csv, make_dataset
 from .errors import DataFormatError, NumericalError, ValidationError
 from .experiment import ExperimentConfig, format_report_csv, format_report_text, run_experiment
-from .fusion import AlignmentOptions, align, fuse
+from .fusion import SOLVERS, AlignmentOptions, align, fuse
 from .nets import (
     DEFAULT_FINETUNE_EPOCHS,
     DEFAULT_TRAIN_EPOCHS,
@@ -96,7 +96,7 @@ def _add_train_flags(p, default_epochs: int) -> None:
 
 def _cmd_train(args) -> int:
     specs = _load_arch(args.arch)
-    data = load_dataset_csv(args.data)
+    data = _load_model_data(specs[-1].out_dim, args.data)
     ckpt = train(specs, data, _train_config(args))
     save_checkpoint(ckpt, args.out)
     print(f"trained {len(specs)} layers for {args.epochs} epochs -> {args.out}")
@@ -155,16 +155,16 @@ def _cmd_fuse(args) -> int:
     return 0
 
 
-def _load_model_data(ckpt, path) -> Dataset:
+def _load_model_data(num_classes: int, path) -> Dataset:
     """Read a dataset whose class count is the model's output width, so a
     file that lacks the highest class still matches the model."""
     data = load_dataset_csv(path)
-    return make_dataset(data.features, data.labels, ckpt.specs[-1].out_dim)
+    return make_dataset(data.features, data.labels, num_classes)
 
 
 def _cmd_finetune(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    data = _load_model_data(ckpt, args.data)
+    data = _load_model_data(ckpt.specs[-1].out_dim, args.data)
     out = finetune(ckpt, data, _train_config(args))
     save_checkpoint(out, args.out)
     print(f"finetuned {args.epochs} epochs -> {args.out}")
@@ -174,7 +174,7 @@ def _cmd_finetune(args) -> int:
 
 def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    data = _load_model_data(ckpt, args.data)
+    data = _load_model_data(ckpt.specs[-1].out_dim, args.data)
     l, a = loss(ckpt, data), accuracy(ckpt, data)
     if args.format == "csv":
         print("loss,accuracy")
@@ -212,7 +212,7 @@ def _cmd_wer(args) -> int:
 def _cmd_landscape(args) -> int:
     ckpt0 = load_checkpoint(args.ckpt0)
     ckpt1 = load_checkpoint(args.ckpt1)
-    data = _load_model_data(ckpt0, args.data)
+    data = _load_model_data(ckpt0.specs[-1].out_dim, args.data)
     curve = landscape(ckpt0, ckpt1, data, args.points)
     write_landscape_csv(curve, args.out)
     print(
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("align", help="align checkpoint A onto checkpoint B")
     p.add_argument("ckpt_a")
     p.add_argument("ckpt_b")
-    p.add_argument("--solver", choices=["exact", "sinkhorn"], default="exact")
+    p.add_argument("--solver", choices=SOLVERS, default="exact")
     p.add_argument("--eps", type=float, default=None, help="sinkhorn regularization")
     p.add_argument("--cost-on-raw", action="store_true",
                    help="build cost matrices from raw instead of input-aligned rows")
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-epochs", type=int, default=defaults.train_epochs)
     p.add_argument("--finetune-epochs", type=int, default=defaults.finetune_epochs)
     p.add_argument("--lam", type=float, default=defaults.lam)
-    p.add_argument("--solver", choices=["exact", "sinkhorn"], default=defaults.solver)
+    p.add_argument("--solver", choices=SOLVERS, default=defaults.solver)
     p.add_argument("--out-dir", default=None)
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=_cmd_experiment)

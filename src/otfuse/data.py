@@ -64,14 +64,6 @@ def make_dataset(features, labels, num_classes: int) -> Dataset:
     return validate_dataset(ds)
 
 
-def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    return (
-        a.num_classes == b.num_classes
-        and np.array_equal(a.features, b.features)
-        and np.array_equal(a.labels, b.labels)
-    )
-
-
 def concat_datasets(*parts: Dataset) -> Dataset:
     """Stack datasets with identical feature dims and class counts."""
     if not parts:
@@ -152,15 +144,6 @@ def gen_synthetic(cfg: DomainMixtureConfig, seed: int) -> tuple[Dataset, Dataset
     train = make_dataset(np.vstack(train_x), np.concatenate(train_y), cfg.num_classes)
     heldout = make_dataset(np.vstack(held_x), np.concatenate(held_y), cfg.num_classes)
     return train, heldout
-
-
-def nearest_centroid_accuracy(train: Dataset, test: Dataset) -> float:
-    """Accuracy of classifying by the nearest training-class centroid."""
-    centroids = np.stack(
-        [train.features[train.labels == c].mean(axis=0) for c in range(train.num_classes)]
-    )
-    d = np.linalg.norm(test.features[:, None, :] - centroids[None, :, :], axis=2)
-    return float(np.mean(np.argmin(d, axis=1) == test.labels))
 
 
 def save_dataset_csv(ds: Dataset, path) -> None:

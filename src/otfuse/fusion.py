@@ -5,8 +5,8 @@ re-expresses A's input weights in B's coordinates using the previous layer's
 map, then solves a transport problem between the (aligned) rows of A and
 the rows of B, and finally applies the new map to A's output side, bias
 included.  ``fuse`` blends the aligned model with B; ``direct_average`` is
-the no-alignment baseline; ``fuse_pipeline`` appends the short fine-tuning
-stage.
+the no-alignment baseline.  The short fine-tuning that completes the recipe
+is ``nets.finetune``, run on the fused model by its caller.
 
 Each map is applied as the doubly stochastic matrix ``m * T``, so aligning
 a model with itself is the identity and hidden unit permutations are undone
@@ -19,15 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
 from .errors import ValidationError
 from .linalg import matmul, row_distance_matrix, transpose
 from .nets import (
     Checkpoint,
     CheckpointMeta,
     LayerWeights,
-    TrainConfig,
-    finetune,
     interpolate,
     make_checkpoint,
     validate_checkpoint,
@@ -174,19 +171,3 @@ def direct_average(model_a: Checkpoint, model_b: Checkpoint, lam: float = 0.5) -
     """Elementwise parameter average with no alignment; the failing baseline."""
     _check_same_architecture(model_a, model_b, "direct_average")
     return _blend(model_a, model_b, lam, "direct-average")
-
-
-def fuse_pipeline(
-    model_a: Checkpoint,
-    model_b: Checkpoint,
-    opts: AlignmentOptions,
-    finetune_data: Dataset,
-    cfg: TrainConfig | None = None,
-) -> Checkpoint:
-    """Align, average (``fuse``'s default blend), then fine-tune briefly
-    (``finetune``'s short run when ``cfg`` is None; none at zero epochs).
-    For another blend weight call ``align``, ``fuse`` and ``finetune``."""
-    fused = fuse(align(model_a, model_b, opts).aligned, model_b)
-    if cfg is not None and cfg.epochs == 0:
-        return fused
-    return finetune(fused, finetune_data, cfg)

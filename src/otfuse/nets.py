@@ -131,16 +131,6 @@ def make_checkpoint(specs, layers, meta: CheckpointMeta = CheckpointMeta()) -> C
     return validate_checkpoint(Checkpoint(tuple(specs), tuple(frozen), meta))
 
 
-def checkpoints_equal(a: Checkpoint, b: Checkpoint) -> bool:
-    """Bit-exact equality of specs, weights, and metadata."""
-    if a.specs != b.specs or a.meta != b.meta:
-        return False
-    return all(
-        np.array_equal(la.w, lb.w) and np.array_equal(la.b, lb.b)
-        for la, lb in zip(a.layers, b.layers)
-    )
-
-
 def max_weight_difference(a: Checkpoint, b: Checkpoint) -> float:
     """Largest absolute difference over all weights and biases."""
     if a.specs != b.specs:
@@ -185,14 +175,6 @@ def forward_batch(ckpt: Checkpoint, x: np.ndarray) -> np.ndarray:
     for spec, layer in zip(ckpt.specs, ckpt.layers):
         a = _activate(a @ layer.w.T + layer.b, spec.activation)
     return a
-
-
-def forward(ckpt: Checkpoint, x) -> np.ndarray:
-    """Logits for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValidationError(f"forward expects a 1-D feature vector, got {x.shape}")
-    return forward_batch(ckpt, x[None, :])[0]
 
 
 def cross_entropy_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -115,6 +115,15 @@ def _check_coverage(sets: Iterable[HypothesisSet], refs: Mapping[str, Sequence[s
             )
 
 
+def _check_systems(sets: Sequence[HypothesisSet]) -> None:
+    """Selections name systems, so each set needs a distinct name."""
+    if not sets:
+        raise ValidationError("need at least one hypothesis set")
+    names = [hs.system_name for hs in sets]
+    if len(set(names)) != len(names):
+        raise ValidationError(f"hypothesis sets need distinct system names, got {names}")
+
+
 def error_rate(refs: Mapping[str, Sequence[str]], hyps: HypothesisSet) -> float:
     """Sum of edit totals over the sum of reference lengths (may exceed 1)."""
     _check_coverage([hyps], refs)
@@ -130,8 +139,7 @@ def error_rate(refs: Mapping[str, Sequence[str]], hyps: HypothesisSet) -> float:
 def oracle_select(sets: Sequence[HypothesisSet], refs: Mapping[str, Sequence[str]]) -> OracleSelection:
     """Per utterance, pick the system with the fewest edits against the
     reference (ties go to the earliest system)."""
-    if not sets:
-        raise ValidationError("need at least one hypothesis set")
+    _check_systems(sets)
     _check_coverage(sets, refs)
     ref_len = sum(len(tokens) for tokens in refs.values())
     if ref_len == 0:
@@ -165,8 +173,7 @@ def mean_confidence(hyp: Hypothesis) -> float:
 
 def confidence_select(sets: Sequence[HypothesisSet]) -> dict[str, str]:
     """Per utterance, pick the system with the highest mean confidence."""
-    if not sets:
-        raise ValidationError("need at least one hypothesis set")
+    _check_systems(sets)
     utt_ids = set(sets[0].items)
     for hs in sets[1:]:
         if set(hs.items) != utt_ids:
@@ -184,6 +191,7 @@ def confidence_select(sets: Sequence[HypothesisSet]) -> dict[str, str]:
 
 def selected_set(sets: Sequence[HypothesisSet], selection: Mapping[str, str], name: str = "selected") -> HypothesisSet:
     """Assemble the per-utterance winners into a new hypothesis set."""
+    _check_systems(sets)
     by_name = {hs.system_name: hs for hs in sets}
     items = {utt: by_name[sys].items[utt] for utt, sys in selection.items()}
     return HypothesisSet(name, items)
@@ -291,16 +299,6 @@ def read_hypotheses(path, system_name: str) -> HypothesisSet:
     if not items:
         raise DataFormatError(f"{path}: no hypotheses")
     return HypothesisSet(system_name, items)
-
-
-def word_tokens(text: str) -> tuple[str, ...]:
-    """Split on single spaces; no normalization."""
-    return _split_tokens(text)
-
-
-def char_tokens(text: str) -> tuple[str, ...]:
-    """Each non-space character is one token."""
-    return tuple(ch for ch in text if ch != " ")
 
 
 def write_landscape_csv(curve: LandscapeCurve, path) -> None:

@@ -49,7 +49,7 @@ class OtSolution:
     converged: bool = True
 
 
-def validate_transport_map(tm: TransportMap, atol: float = MARGINAL_TOL) -> TransportMap:
+def validate_transport_map(tm: TransportMap) -> TransportMap:
     t = tm.matrix
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValidationError(f"transport map must be square, got {t.shape}")
@@ -62,10 +62,10 @@ def validate_transport_map(tm: TransportMap, atol: float = MARGINAL_TOL) -> Tran
     row_err = np.abs(t.sum(axis=1) - target).max()
     col_err = np.abs(t.sum(axis=0) - target).max()
     mass_err = abs(t.sum() - 1.0)
-    if row_err > atol or col_err > atol or mass_err > atol:
+    if max(row_err, col_err, mass_err) > MARGINAL_TOL:
         raise ValidationError(
             f"transport map marginals violate uniform constraints: "
-            f"row {row_err:.3e}, col {col_err:.3e}, mass {mass_err:.3e} (atol {atol:g})"
+            f"row {row_err:.3e}, col {col_err:.3e}, mass {mass_err:.3e} (atol {MARGINAL_TOL:g})"
         )
     return tm
 
@@ -213,17 +213,6 @@ def _jonker_volgenant(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return col_for_row, np.concatenate(([0.0], u)), np.concatenate(([0.0], v)), len(free)
 
 
-def _lap_shortest_path(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jonker-Volgenant (1987) assignment: column reduction, augmenting row
-    reduction, then Dijkstra searches; see ``_jonker_volgenant``.
-
-    Returns (col_for_row, u, v) where u, v are 1-indexed dual potentials
-    (index 0 is a sentinel).
-    """
-    col_for_row, u, v, _ = _jonker_volgenant(cost)
-    return col_for_row, u, v
-
-
 def _lex_smallest_assignment(zero: np.ndarray, col_for_row: np.ndarray) -> np.ndarray:
     """Lexicographically smallest perfect matching inside the zero graph.
 
@@ -368,8 +357,8 @@ def solve_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: 
     if eps is None:
         mean = float(d.mean())
         eps = 0.01 * mean if mean > 0 else 1.0
-    if eps <= 0:
-        raise ValidationError("sinkhorn eps must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValidationError(f"sinkhorn eps must be finite and positive, got {eps}")
     if tol <= 0 or max_iter < 1:
         raise ValidationError("sinkhorn tol must be positive and max_iter >= 1")
 
@@ -415,7 +404,7 @@ def solve_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: 
     # rounding it onto the polytope keeps every returned map a valid
     # coupling and its objective a true upper bound on the exact optimum
     tm = TransportMap(_round_to_polytope(t))
-    validate_transport_map(tm, atol=MARGINAL_TOL)
+    validate_transport_map(tm)
     return OtSolution(
         tm,
         ot_objective(tm, d),

@@ -4,16 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from otfuse.data import Dataset
 from otfuse.errors import NumericalError, SinkhornUnderflowError, ValidationError
 from otfuse.nets import (
     Checkpoint,
     CheckpointMeta,
     LayerSpec,
     LayerWeights,
+    forward_batch,
     make_checkpoint,
 )
 from otfuse.transport import (
-    MARGINAL_TOL,
     OtSolution,
     TransportMap,
     _check_cost,
@@ -21,6 +22,38 @@ from otfuse.transport import (
     ot_objective,
     validate_transport_map,
 )
+
+
+def checkpoints_equal(a: Checkpoint, b: Checkpoint) -> bool:
+    """Bit-exact equality of specs, weights, and metadata."""
+    if a.specs != b.specs or a.meta != b.meta:
+        return False
+    return all(
+        np.array_equal(la.w, lb.w) and np.array_equal(la.b, lb.b)
+        for la, lb in zip(a.layers, b.layers)
+    )
+
+
+def datasets_equal(a: Dataset, b: Dataset) -> bool:
+    return (
+        a.num_classes == b.num_classes
+        and np.array_equal(a.features, b.features)
+        and np.array_equal(a.labels, b.labels)
+    )
+
+
+def forward(ckpt: Checkpoint, x) -> np.ndarray:
+    """Logits for a single feature vector."""
+    return forward_batch(ckpt, np.asarray(x, dtype=np.float64)[None, :])[0]
+
+
+def nearest_centroid_accuracy(train: Dataset, test: Dataset) -> float:
+    """Accuracy of classifying by the nearest training-class centroid."""
+    centroids = np.stack(
+        [train.features[train.labels == c].mean(axis=0) for c in range(train.num_classes)]
+    )
+    d = np.linalg.norm(test.features[:, None, :] - centroids[None, :, :], axis=2)
+    return float(np.mean(np.argmin(d, axis=1) == test.labels))
 
 
 def random_specs(rng, max_layers: int = 3, max_units: int = 8, in_dim: int | None = None,
@@ -271,7 +304,7 @@ def reference_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_it
     # rounding it onto the polytope keeps every returned map a valid
     # coupling and its objective a true upper bound on the exact optimum
     tm = TransportMap(_round_to_polytope(t))
-    validate_transport_map(tm, atol=MARGINAL_TOL)
+    validate_transport_map(tm)
     return OtSolution(
         tm,
         ot_objective(tm, d),

@@ -13,7 +13,14 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from helpers import permutation_matrix, permuted_twin, random_checkpoint, random_specs
+from helpers import (
+    checkpoints_equal,
+    forward,
+    permutation_matrix,
+    permuted_twin,
+    random_checkpoint,
+    random_specs,
+)
 from otfuse.data import DomainMixtureConfig, gen_synthetic, make_dataset
 from otfuse.errors import CheckpointFormatError, CheckpointVersionError
 from otfuse.experiment import ExperimentConfig, run_experiment
@@ -22,8 +29,6 @@ from otfuse.nets import (
     LayerSpec,
     LayerWeights,
     TrainConfig,
-    checkpoints_equal,
-    forward,
     init_checkpoint,
     loss,
     loss_gradients,
@@ -34,7 +39,6 @@ from otfuse.nets import (
 from otfuse.scoring import Hypothesis, HypothesisSet, edit_distance, error_rate, landscape, oracle_select
 from otfuse.serialize import load_checkpoint, save_checkpoint
 from otfuse.transport import (
-    MARGINAL_TOL,
     brute_force_ot,
     solve_exact,
     solve_sinkhorn,
@@ -79,12 +83,12 @@ def test_criterion_02_marginal_feasibility():
         for _ in range(50):
             m = int(rng.integers(2, 9))
             d = rng.uniform(0.0, 5.0, (m, m))
-            validate_transport_map(solve_exact(d).map, MARGINAL_TOL)
+            validate_transport_map(solve_exact(d).map)
             sol = solve_sinkhorn(d, eps=float(rng.uniform(0.01, 0.5)))
-            validate_transport_map(sol.map, MARGINAL_TOL)
+            validate_transport_map(sol.map)
             # deliberately starved iterations: the map must still be feasible
             starved = solve_sinkhorn(d, eps=0.01, tol=1e-13, max_iter=3)
-            validate_transport_map(starved.map, MARGINAL_TOL)
+            validate_transport_map(starved.map)
 
 
 def test_criterion_03_sinkhorn_convergence():

@@ -217,6 +217,19 @@ def test_eval_and_finetune_take_classes_from_model(workdir, capsys):
 
 
 
+def test_train_takes_classes_from_arch(workdir, capsys):
+    """train reads its dataset like eval, with the class count taken from
+    the architecture's output width."""
+    top = ARCH[-1]["out_dim"] - 1
+    lines = (workdir / "train.csv").read_text().splitlines()
+    partial = workdir / "partial.csv"
+    partial.write_text("\n".join(l for l in lines if not l.endswith(f",{top}")) + "\n")
+    ckpt = workdir / "model.json"
+    assert main(["train", str(workdir / "arch.json"), str(partial),
+                 "--epochs", "1", "--out", str(ckpt)]) == 0
+    assert load_checkpoint(ckpt).specs[-1].out_dim == top + 1
+
+
 def test_landscape_takes_classes_from_model(workdir, capsys):
     """landscape reads its dataset like eval: a file without the highest
     class works, a label past the model's output width exits 2."""
@@ -299,6 +312,28 @@ class TestExitCodes:
         bad.write_text("\n".join(lines) + "\n")
         assert main(["eval", str(ckpt), str(bad)]) == 2
         assert main(["finetune", str(ckpt), str(bad), "--out", str(workdir / "t.json")]) == 2
+        assert main(["train", str(workdir / "arch.json"), str(bad),
+                     "--epochs", "1", "--out", str(workdir / "t.json")]) == 2
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_sinkhorn_eps_is_two(self, workdir, capsys, eps):
+        ckpt = str(workdir / "model.json")
+        assert main(["train", str(workdir / "arch.json"), str(workdir / "train.csv"),
+                     "--epochs", "1", "--out", ckpt]) == 0
+        capsys.readouterr()
+        assert main(["align", ckpt, ckpt, "--solver", "sinkhorn", "--eps", eps,
+                     "--out", str(workdir / "x.json")]) == 2
+        assert "eps must be finite and positive" in capsys.readouterr().err
+
+    def test_wer_duplicate_system_names_is_two(self, workdir, capsys):
+        refs = workdir / "refs.txt"
+        refs.write_text("u1\ta b\n")
+        for sub, line in (("x", "u1\ta b\t0.6 0.6\n"), ("y", "u1\tc d\t0.9 0.9\n")):
+            (workdir / sub).mkdir()
+            (workdir / sub / "sys.txt").write_text(line)
+        assert main(["wer", str(refs), str(workdir / "x" / "sys.txt"),
+                     str(workdir / "y" / "sys.txt")]) == 2
+        assert "distinct system names" in capsys.readouterr().err
 
     def test_shape_mismatch_is_two(self, workdir, capsys):
         rng = np.random.default_rng(0)

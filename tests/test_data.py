@@ -3,14 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import datasets_equal, nearest_centroid_accuracy
 from otfuse.data import (
     DomainMixtureConfig,
     concat_datasets,
-    datasets_equal,
     gen_synthetic,
     load_dataset_csv,
     make_dataset,
-    nearest_centroid_accuracy,
     save_dataset_csv,
 )
 from otfuse.errors import DataFormatError, ValidationError

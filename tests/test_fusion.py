@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import permutation_matrix, permuted_twin, random_checkpoint
+from helpers import forward, permutation_matrix, permuted_twin, random_checkpoint
 from otfuse.data import DomainMixtureConfig, gen_synthetic
 from otfuse.errors import ValidationError
 from otfuse.fusion import (
@@ -9,14 +9,10 @@ from otfuse.fusion import (
     align,
     direct_average,
     fuse,
-    fuse_pipeline,
 )
 from otfuse.nets import (
     LayerSpec,
     TrainConfig,
-    checkpoints_equal,
-    finetune,
-    forward,
     max_weight_difference,
     train,
 )
@@ -230,31 +226,3 @@ class TestFuse:
         for out in (align(a, b).aligned, fuse(a, b, 0.5), direct_average(a, b, 0.5)):
             assert out.specs == a.specs
 
-
-class TestPipeline:
-    def test_zero_epochs_degenerates_to_align_fuse(self):
-        a, b, tr = trained_pair(seed=5, epochs=10)
-        opts = AlignmentOptions()
-        out = fuse_pipeline(a, b, opts, tr, TrainConfig(epochs=0))
-        ref = fuse(align(a, b, opts).aligned, b, 0.5)
-        assert checkpoints_equal(out, ref)
-
-    def test_zero_epochs_skips_the_finetune_data_check(self):
-        a, b, _ = trained_pair(seed=5, epochs=10)
-        wrong_width, _ = gen_synthetic(DomainMixtureConfig(num_classes=4, feature_dim=3), 0)
-        out = fuse_pipeline(a, b, AlignmentOptions(), wrong_width, TrainConfig(epochs=0))
-        assert checkpoints_equal(out, fuse(align(a, b).aligned, b))
-        with pytest.raises(ValidationError):
-            fuse_pipeline(a, b, AlignmentOptions(), wrong_width, TrainConfig(epochs=1))
-
-    def test_self_pipeline_equals_finetuning_the_model(self):
-        a, _, tr = trained_pair(seed=6, epochs=10)
-        cfg = TrainConfig(epochs=10, batch_size=32, learning_rate=0.01, seed=99)
-        out = fuse_pipeline(a, a, AlignmentOptions(), tr, cfg)
-        # self-fusion reproduces the model bit-exactly, so fine-tuning
-        # proceeds from identical weights and is itself identical
-        ref = finetune(a, tr, cfg)
-        assert all(
-            np.array_equal(x.w, y.w) and np.array_equal(x.b, y.b)
-            for x, y in zip(out.layers, ref.layers)
-        )

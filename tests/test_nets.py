@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import random_checkpoint, random_specs
+from helpers import checkpoints_equal, forward, random_checkpoint, random_specs
 from otfuse.data import make_dataset, seeded_rng
 from otfuse.errors import ValidationError
 from otfuse.experiment import ExperimentConfig, format_report_csv, run_experiment
@@ -16,9 +16,7 @@ from otfuse.nets import (
     LayerWeights,
     TrainConfig,
     accuracy,
-    checkpoints_equal,
     finetune,
-    forward,
     init_checkpoint,
     interpolate,
     loss,

@@ -13,7 +13,6 @@ from otfuse.scoring import (
     EditCounts,
     Hypothesis,
     HypothesisSet,
-    char_tokens,
     confidence_select,
     edit_distance,
     ensemble_logits,
@@ -24,7 +23,6 @@ from otfuse.scoring import (
     read_hypotheses,
     read_references,
     selected_set,
-    word_tokens,
     write_landscape_csv,
 )
 
@@ -223,6 +221,17 @@ class TestOracleSelect:
         with pytest.raises(ValidationError):
             oracle_select([s1], refs)
 
+    def test_duplicate_system_names_rejected(self):
+        refs = {"u": ("a",)}
+        right = hset("sys", {"u": "a"}, {"u": (0.4,)})
+        wrong = hset("sys", {"u": "x"}, {"u": (0.9,)})
+        with pytest.raises(ValidationError):
+            oracle_select([right, wrong], refs)
+        with pytest.raises(ValidationError):
+            confidence_select([right, wrong])
+        with pytest.raises(ValidationError):
+            selected_set([right, wrong], {"u": "sys"})
+
 
 class TestConfidenceSelect:
     def test_higher_confidence_wins(self):
@@ -391,11 +400,6 @@ class TestFileFormats:
         p.write_text("u1\ta\nu1\tb\n")
         with pytest.raises(DataFormatError):
             read_references(p)
-
-    def test_tokenizers(self):
-        assert word_tokens("the cat") == ("the", "cat")
-        assert char_tokens("ab c") == ("a", "b", "c")
-        assert word_tokens("") == ()
 
     def test_landscape_csv(self, tmp_path):
         from otfuse.scoring import LandscapeCurve

@@ -4,9 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from helpers import random_checkpoint
+from helpers import checkpoints_equal, random_checkpoint
 from otfuse.errors import CheckpointFormatError, CheckpointVersionError
-from otfuse.nets import checkpoints_equal
 from otfuse.serialize import (
     checkpoint_from_dict,
     checkpoint_to_dict,

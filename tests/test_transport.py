@@ -4,10 +4,9 @@ import pytest
 import otfuse.transport as transport
 from otfuse.errors import NumericalError, SinkhornUnderflowError, ValidationError
 from otfuse.transport import (
-    MARGINAL_TOL,
     OtSolution,
     TransportMap,
-    _lap_shortest_path,
+    _jonker_volgenant,
     _lex_smallest_assignment,
     brute_force_ot,
     hard_permutation,
@@ -98,7 +97,7 @@ class TestSolveExact:
         for _ in range(30):
             m = int(rng.integers(1, 10))
             sol = solve_exact(rng.uniform(0, 1, (m, m)))
-            validate_transport_map(sol.map, MARGINAL_TOL)
+            validate_transport_map(sol.map)
 
     def test_objective_consistent_with_map(self):
         rng = np.random.default_rng(23)
@@ -140,7 +139,7 @@ class TestTieRefinement:
             m = int(rng.integers(2, 41))
             d = rng.integers(0, 1 + trial % 3, (m, m)).astype(np.float64)
             # integer costs keep the duals exact, so the zero graph is exact
-            _, u, v = _lap_shortest_path(d)
+            _, u, v, _ = _jonker_volgenant(d)
             zero = d - u[1:, None] - v[None, 1:] <= 1e-9 * max(1.0, float(d.max()))
             assert np.array_equal(_assignment(solve_exact(d)), kuhn_lex_assignment(zero))
 
@@ -171,7 +170,7 @@ class TestTieRefinement:
             else:
                 d = rng.uniform(0, 1, m)[:, None] + rng.uniform(0, 1, m)[None, :]
             tol = 1e-9 * max(1.0, float(d.max()))
-            col, u, v = _lap_shortest_path(d)
+            col, u, v, _ = _jonker_volgenant(d)
             reduced = d - u[1:, None] - v[None, 1:]
             assert reduced.min() >= -tol
             assert np.abs(reduced[np.arange(m), col]).max() <= tol
@@ -259,6 +258,11 @@ class TestSinkhorn:
         assert np.abs(t.sum(axis=1) - 1 / 6).max() <= 1e-10
         assert np.abs(t.sum(axis=0) - 1 / 6).max() <= 1e-10
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        with pytest.raises(ValidationError):
+            solve_sinkhorn(np.eye(3), eps=eps)
+
     def test_max_iter_exhaustion_flags_not_raises(self):
         rng = np.random.default_rng(20)
         d = rng.uniform(0, 2, (5, 5))
@@ -284,14 +288,14 @@ class TestSinkhorn:
         sol = solve_sinkhorn(d)
         assert sol.solver.startswith("sinkhorn(eps=")
         # whatever the convergence flag says, the returned map is feasible
-        validate_transport_map(sol.map, MARGINAL_TOL)
+        validate_transport_map(sol.map)
 
     def test_unconverged_map_still_feasible(self):
         rng = np.random.default_rng(22)
         d = rng.uniform(0, 3, (5, 5))
         sol = solve_sinkhorn(d, eps=0.003, tol=1e-12, max_iter=5)
         assert not sol.converged
-        validate_transport_map(sol.map, MARGINAL_TOL)
+        validate_transport_map(sol.map)
         assert sol.objective >= solve_exact(d).objective - 1e-9
 
 
