@@ -159,6 +159,8 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> dict[str, MethodMetrics]:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if not cfg.seeds:
         raise ValidationError("experiment needs at least one seed")
+    if len(set(cfg.seeds)) != len(cfg.seeds):
+        raise ValidationError(f"experiment seeds must be distinct, got {list(cfg.seeds)}")
     if cfg.train_epochs < 0 or cfg.finetune_epochs < 0:
         raise ValidationError("epoch counts must be >= 0")
     per_seed: dict[str, list[MethodMetrics]] = {m: [] for m in METHOD_ORDER}

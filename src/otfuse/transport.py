@@ -10,8 +10,10 @@ matching.  It then refines ties to the lexicographically smallest optimal
 assignment by alternating-cycle search, so results are bit-reproducible;
 the whole solve, tie refinement included, is O(m^3).  ``solve_sinkhorn``
 returns the entropic soft coupling from one scaling loop on a kernel that
-log potentials keep in range for any eps.  ``brute_force_ot`` enumerates
-all m! permutations and exists purely as an oracle.
+log potentials keep in range for any eps; when the sweeps stall near a hard
+assignment, Newton's method on the log potentials (Brauer, Clason, Lorenz &
+Wirth, 2017) finishes the solve in a few steps.  ``brute_force_ot``
+enumerates all m! permutations and exists purely as an oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ from .linalg import as_matrix
 MARGINAL_TOL = 1e-8
 BRUTE_FORCE_MAX_SIDE = 8
 _ABSORB_ABOVE = 1e50  # Sinkhorn scalings past this fold into the log potentials
+_STALL_EVERY = 50  # sweeps between checks that the row residual still halves
+_NEWTON_STEPS = 50  # cap on the steps of one Newton polish
+_HALVINGS = 30  # cap on the line search of one Newton step
+_RIDGE = 1e-12  # Schur diagonal added, relative to its largest entry
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,6 +345,66 @@ def _kernel(scaled: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.exp(f[:, None] + g[None, :] - scaled)
 
 
+def _marginal_residual(p: np.ndarray) -> float:
+    target = 1.0 / p.shape[0]
+    return max(np.abs(p.sum(axis=1) - target).max(), np.abs(p.sum(axis=0) - target).max())
+
+
+def _newton_polish(scaled: np.ndarray, f: np.ndarray, g: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Newton's method on the marginal equations of the coupling
+    ``P = exp(f_i + g_j - scaled_ij)`` (Brauer, Clason, Lorenz & Wirth, *A
+    Sinkhorn-Newton method for entropic optimal transport*, 2017).
+
+    The Jacobian ``[[diag(P1), P], [P^T, diag(P^T 1)]]`` is eliminated to its
+    Schur complement in ``f``, the Laplacian of the row weights
+    ``(P diag(1/P^T 1) P^T)_ik``, whose diagonal is summed from the
+    off-diagonal weights so no entry cancels.  Pinning ``f_0`` removes the
+    (1, -1) null direction.  Where kernel entries underflow, groups of rows
+    share almost no column and the Laplacian has further near-null
+    directions, in which the solve returns rounding noise times 1e20 or
+    more; a ridge of ``_RIDGE`` times the largest diagonal entry (a
+    Levenberg-Marquardt damping) bounds those components and leaves the
+    others, which have far more curvature, as they are.  Each step halves
+    its length until the max-norm marginal residual falls, and iteration
+    stops once that residual is at most ``tol``.  A singular or non-finite
+    system, or a step that no halving makes descend, ends the polish early.
+    Returns the potentials of the last accepted step.
+    """
+    target = 1.0 / f.shape[0]
+    p = _kernel(scaled, f, g)
+    res = _marginal_residual(p)
+    # trial steps may overflow; the finiteness and descent tests decide
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            if res <= tol:
+                break
+            rows, cols = p.sum(axis=1), p.sum(axis=0)
+            schur = (p / -cols) @ p.T
+            np.fill_diagonal(schur, 0.0)
+            degree = -schur.sum(axis=1)
+            np.fill_diagonal(schur, degree + _RIDGE * degree.max())
+            rhs = target - rows + p @ ((cols - target) / cols)
+            try:
+                df = np.linalg.solve(schur[1:, 1:], rhs[1:])
+            except np.linalg.LinAlgError:
+                break
+            df = np.concatenate(([0.0], df))
+            dg = (target - cols - p.T @ df) / cols
+            if not (np.isfinite(df).all() and np.isfinite(dg).all()):
+                break
+            step = 1.0
+            for _ in range(_HALVINGS):
+                trial = _kernel(scaled, f + step * df, g + step * dg)
+                trial_res = _marginal_residual(trial)
+                if trial_res < res:
+                    break
+                step /= 2
+            else:
+                break
+            f, g, p, res = f + step * df, g + step * dg, trial, trial_res
+    return f, g
+
+
 def solve_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: int = 10000) -> OtSolution:
     """Entropic-regularized coupling via alternating marginal scaling.
 
@@ -347,10 +413,19 @@ def solve_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: 
     log potentials start at the row and column minima (an exact 1 in every
     row and column) and absorb the scalings once they pass ``_ABSORB_ABOVE``
     (Schmitzer, 2019).  A sweep scales rows then columns, and iteration stops
-    once the row residual (max norm) drops to ``tol``.  Hitting ``max_iter``
-    sweeps first returns the last iterate flagged as unconverged rather than
-    raising.  Either way the coupling is rounded onto the uniform-marginal
-    polytope before being returned.
+    once the row residual (max norm) drops to ``tol``.
+
+    Near a hard assignment the sweeps converge slowly, so every
+    ``_STALL_EVERY`` sweeps the row residual is compared with the last
+    check: if it has not at least halved, the scalings are folded into the
+    potentials and ``_newton_polish`` takes them to marginal residuals of
+    ``tol / 100``, after which the sweeps resume on the rebuilt kernel and
+    their own residual test decides convergence.  The polish runs at most
+    once per solve; where it cannot descend (a singular system, or an
+    underflowed kernel) the sweeps simply carry on.  ``iterations`` counts
+    sweeps.  Hitting ``max_iter`` sweeps first returns the last iterate
+    flagged as unconverged rather than raising.  Either way the coupling is
+    rounded onto the uniform-marginal polytope before being returned.
     """
     d = _check_cost(cost)
     n = d.shape[0]
@@ -374,7 +449,8 @@ def solve_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: 
     kernel = _kernel(scaled, f, g)
     u = v = np.ones(n)
     kv = kernel @ v
-    converged = False
+    converged = polished = False
+    checked = np.inf  # the row residual at the last stall check
     for iterations in range(1, max_iter + 1):
         if (kv <= 0).any() or not np.isfinite(kv).all():
             raise SinkhornUnderflowError(f"eps={eps:g} is too small: kernel column sums underflowed")
@@ -385,14 +461,22 @@ def solve_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: 
         v = target / ku
         kv = kernel @ v
         # columns are exact after the v update, so only rows are tested
-        if np.abs(u * kv - target).max() <= tol:
+        residual = np.abs(u * kv - target).max()
+        if residual <= tol:
             converged = True
             break
-        if max(u.max(), v.max()) > _ABSORB_ABOVE:
+        stalled = False
+        if not polished and iterations % _STALL_EVERY == 0:
+            stalled = residual > checked / 2
+            checked = residual
+        if stalled or max(u.max(), v.max()) > _ABSORB_ABOVE:
             # a tiny scaling forces a huge one on the other side, so
             # bounding the maxima keeps both in range
             f = f + np.log(u)
             g = g + np.log(v)
+            if stalled:
+                polished = True
+                f, g = _newton_polish(scaled, f, g, tol / 100)
             kernel = _kernel(scaled, f, g)
             u = v = np.ones(n)
             kv = kernel @ v

@@ -15,9 +15,11 @@ from otfuse.nets import (
     make_checkpoint,
 )
 from otfuse.transport import (
+    _ABSORB_ABOVE,
     OtSolution,
     TransportMap,
     _check_cost,
+    _kernel,
     _round_to_polytope,
     ot_objective,
     validate_transport_map,
@@ -312,3 +314,32 @@ def reference_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_it
         iterations=iterations,
         converged=converged,
     )
+
+
+def sweeps_only_sinkhorn(cost, eps: float, tol: float = 1e-9, max_iter: int = 10000):
+    """``solve_sinkhorn``'s stabilized scaling loop without the stall test
+    and Newton polish.  Returns (rounded coupling, sweeps, converged); a
+    solve whose stall test never fires must match it bit for bit."""
+    scaled = _check_cost(cost) / eps
+    n = scaled.shape[0]
+    target = 1.0 / n
+    f = scaled.min(axis=1)
+    g = (scaled - f[:, None]).min(axis=0)
+    kernel = _kernel(scaled, f, g)
+    u = v = np.ones(n)
+    kv = kernel @ v
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        u = target / kv
+        v = target / (kernel.T @ u)
+        kv = kernel @ v
+        if np.abs(u * kv - target).max() <= tol:
+            converged = True
+            break
+        if max(u.max(), v.max()) > _ABSORB_ABOVE:
+            f = f + np.log(u)
+            g = g + np.log(v)
+            kernel = _kernel(scaled, f, g)
+            u = v = np.ones(n)
+            kv = kernel @ v
+    return _round_to_polytope(u[:, None] * kernel * v[None, :]), iterations, converged

@@ -1,8 +1,10 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from otfuse import fusion, transport
 from otfuse.cli import main
 from otfuse.data import DomainMixtureConfig, gen_synthetic, save_dataset_csv
 from otfuse.fusion import AlignmentOptions, align
@@ -110,24 +112,26 @@ def test_align_with_one_unit_output_layer(workdir, capsys):
     assert load_checkpoint(workdir / "aligned.json").specs == specs
 
 
-def test_align_warns_on_unconverged_layers(workdir, capsys):
+def test_align_warns_on_unconverged_layers(workdir, capsys, monkeypatch):
     for seed, name in ((1, "m1.json"), (2, "m2.json")):
         main([
             "train", str(workdir / "arch.json"), str(workdir / "train.csv"),
             "--epochs", "2", "--seed", str(seed), "--out", str(workdir / name),
         ])
     m1, m2 = str(workdir / "m1.json"), str(workdir / "m2.json")
-    # at the default eps layer 0 stops at max_iter; --eps 0.1 converges
-    result = align(load_checkpoint(m1), load_checkpoint(m2), AlignmentOptions(solver="sinkhorn"))
-    assert result.converged == (False, True)
     capsys.readouterr()
     argv = ["align", m1, m2, "--solver", "sinkhorn", "--out", str(workdir / "a.json")]
+    # at the default eps every layer converges, so nothing goes to stderr
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    # one sweep cannot converge layer 0; the pinned output layer counts as converged
+    monkeypatch.setattr(fusion, "solve_sinkhorn", functools.partial(transport.solve_sinkhorn, max_iter=1))
+    result = align(load_checkpoint(m1), load_checkpoint(m2), AlignmentOptions(solver="sinkhorn"))
+    assert result.converged == (False, True)
     assert main(argv) == 0
     out, err = capsys.readouterr()
     assert "warning" not in out
     assert [line.split(":")[0:2] for line in err.splitlines()] == [["warning", " layer 0"]]
-    assert main(argv + ["--eps", "0.1"]) == 0
-    assert capsys.readouterr().err == ""
 
 
 def test_landscape_command(workdir, capsys):
@@ -334,6 +338,13 @@ class TestExitCodes:
         assert main(["wer", str(refs), str(workdir / "x" / "sys.txt"),
                      str(workdir / "y" / "sys.txt")]) == 2
         assert "distinct system names" in capsys.readouterr().err
+
+    def test_duplicate_seeds_is_two(self, workdir, capsys):
+        assert main(["experiment", "--seeds", "0,0", "--train-epochs", "0",
+                     "--finetune-epochs", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seeds must be distinct" in captured.err
 
     def test_shape_mismatch_is_two(self, workdir, capsys):
         rng = np.random.default_rng(0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from otfuse.transport import (
     validate_transport_map,
 )
 from helpers import _lex_smallest_assignment as kuhn_lex_assignment
-from helpers import reference_lap, reference_sinkhorn
+from helpers import reference_lap, reference_sinkhorn, sweeps_only_sinkhorn
 
 
 def naive_objective(t, d):
@@ -307,11 +309,22 @@ class TestSinkhornReference:
         # half the costs are uniform, half compare rows with a noisy
         # permutation of themselves, as alignment does; max_iter=1000 keeps
         # the draws that never converge cheap
-        builds = []
-        kernel = transport._kernel
+        builds, polishes, unrounded = [], [], []
+        kernel, polish, round_ = transport._kernel, transport._newton_polish, transport._round_to_polytope
+
+        def uncounted_polish(*a):
+            # the polish forms its own couplings; only the kernel rebuilt
+            # after it is counted, so builds past that are absorptions
+            polishes.append(1)
+            with monkeypatch.context() as inner:
+                inner.setattr(transport, "_kernel", kernel)
+                return polish(*a)
+
         monkeypatch.setattr(transport, "_kernel", lambda *a: builds.append(1) or kernel(*a))
+        monkeypatch.setattr(transport, "_newton_polish", uncounted_polish)
+        monkeypatch.setattr(transport, "_round_to_polytope", lambda t: unrounded.append(t) or round_(t))
         rng = np.random.default_rng(23)
-        log_domain = absorbed = converged = 0
+        log_domain = absorbed = converged = polished = long_converged = 0
         for k in range(40):
             m = int(rng.integers(2, 33))
             if k % 2:
@@ -322,15 +335,96 @@ class TestSinkhornReference:
                 d = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2)
             eps = float(10 ** rng.uniform(-5, 0)) * float(d.mean())
             builds.clear()
+            polishes.clear()
+            unrounded.clear()
             sol = solve_sinkhorn(d, eps=eps, max_iter=1000)
             ref = reference_sinkhorn(d, eps=eps, max_iter=1000)
             log_domain += d.max() / eps > 700
-            absorbed += len(builds) > 1
-            assert sol.converged == ref.converged
-            if sol.converged:
+            absorbed += len(builds) > 1 + len(polishes)
+            if ref.converged:
                 converged += 1
+                assert sol.converged
                 assert np.abs(sol.map.matrix - ref.map.matrix).max() <= 1e-7 / m
+            elif sol.converged:
+                # the Newton polish converges draws that 1000 reference
+                # sweeps leave short: the map meets tol before rounding,
+                # and matches the reference wherever 100000 sweeps converge
+                polished += 1
+                (t,) = unrounded
+                assert np.abs(t.sum(axis=1) - 1 / m).max() <= 1e-9
+                assert np.abs(t.sum(axis=0) - 1 / m).max() <= 1e-9
+                long = reference_sinkhorn(d, eps=eps, max_iter=100000)
+                if long.converged:
+                    long_converged += 1
+                    assert np.abs(sol.map.matrix - long.map.matrix).max() <= 1e-7 / m
         assert 0 < log_domain < 40 and absorbed > 0 and converged > 0
+        assert polished > 0 and long_converged > 0
+
+
+class TestNewtonPolish:
+    @pytest.mark.parametrize("m", [4, 16, 64])
+    def test_default_eps_converges_in_few_sweeps(self, m):
+        # the sweeps alone need over 1000 on each of these draws, and five
+        # of them run all 10000 without converging
+        rng = np.random.default_rng(m)
+        for _ in range(3):
+            sol = solve_sinkhorn(rng.uniform(0, 1, (m, m)))
+            assert sol.converged
+            assert sol.iterations < 1000
+
+    @pytest.mark.parametrize("m, eps", [(6, 0.5), (32, 0.02)])
+    def test_unstalled_solve_matches_sweeps_bit_for_bit(self, monkeypatch, m, eps):
+        # (6, 0.5) converges before the first stall check; (32, 0.02) takes
+        # 155 sweeps, and each check finds the residual 200 times smaller
+        def no_polish(*a):
+            raise AssertionError("the stall test fired")
+
+        monkeypatch.setattr(transport, "_newton_polish", no_polish)
+        d = np.random.default_rng(24).uniform(0, 1, (m, m))
+        sol = solve_sinkhorn(d, eps=eps)
+        t, sweeps, converged = sweeps_only_sinkhorn(d, eps=eps)
+        assert sol.converged and converged
+        assert sol.iterations == sweeps
+        assert np.array_equal(sol.map.matrix, t)
+        if m == 32:
+            assert sweeps > 3 * transport._STALL_EVERY
+
+    def test_underflowed_entry_still_converges(self):
+        # exp(-1000) underflows to 0, so the kernel is triangular and the
+        # sweeps close the gap only sublinearly; Newton drives the last
+        # off-diagonal entry to zero
+        sol = solve_sinkhorn([[0.0, 0.0], [1.0, 0.0]], eps=1e-3)
+        assert sol.converged
+        assert sol.iterations < 1000
+        assert np.abs(sol.map.matrix - np.eye(2) / 2).max() <= 1e-9
+
+    def test_disconnected_blocks_converge(self):
+        # two such triangular blocks with exactly zero coupling between
+        # them: the Schur complement has a second null direction, which
+        # the ridge damps
+        block = np.array([[0.0, 0.0], [1.0, 0.0]])
+        d = np.block([[block, np.ones((2, 2))], [np.ones((2, 2)), block]])
+        sol = solve_sinkhorn(d, eps=1e-3)
+        assert sol.converged
+        assert sol.iterations < 1000
+        assert np.abs(sol.map.matrix - np.eye(4) / 4).max() <= 1e-9
+
+    def test_failed_polish_falls_back_to_sweeps(self, monkeypatch):
+        # at eps = 1e-3 * mean(cost) the kernel entries of the optimal
+        # assignment underflow and no halving of the first Newton step
+        # lowers the residual, so the sweeps carry on to max_iter: the map
+        # comes back feasible but flagged
+        calls = []
+        polish = transport._newton_polish
+        monkeypatch.setattr(transport, "_newton_polish", lambda *a: calls.append(1) or polish(*a))
+        d = np.array([[0.94, 0.51, 0.98], [0.08, 0.61, 0.38], [0.8, 0.17, 0.87]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_sinkhorn(d, eps=1e-3 * d.mean(), max_iter=1000)
+        assert calls == [1]
+        assert not sol.converged
+        assert sol.iterations == 1000
+        validate_transport_map(sol.map)
 
 
 class TestTransportMapValidation:
