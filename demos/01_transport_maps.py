@@ -18,7 +18,7 @@ print("== a hand-readable 2x2 case")
 cost = np.array([[0.0, 1.0], [1.0, 0.0]])
 sol = solve_exact(cost)
 print("cost:\n", cost)
-print("optimal coupling (rows of A matched straight across):\n", sol.map.matrix)
+print("optimal coupling (rows of A matched straight across):\n", sol.map)
 print("objective:", sol.objective)
 
 print("\n== exact solver agrees with exhaustive enumeration")
@@ -36,7 +36,7 @@ print(f"exact optimum: {exact.objective:.6f}")
 for eps in (2.0, 0.5, 0.1, 0.02):
     sink = solve_sinkhorn(d, eps=eps, max_iter=50000)
     gap = sink.objective - exact.objective
-    spread = (sink.map.matrix > 1e-6).sum()
+    spread = (sink.map > 1e-6).sum()
     print(f"eps={eps:<5} objective {sink.objective:.6f} (gap {gap:.2e}), "
           f"{spread} couplings above 1e-6, {sink.iterations} iterations")
 

@@ -58,7 +58,6 @@ from .scoring import (
 from .serialize import load_checkpoint, save_checkpoint
 from .transport import (
     OtSolution,
-    TransportMap,
     brute_force_ot,
     identity_map,
     ot_objective,

@@ -118,8 +118,8 @@ def _write_maps(result, path) -> None:
     doc = {
         "format_version": 1,
         "maps": [
-            {"side": tm.side, "coupling": encode_float64(tm.matrix)}
-            for tm in result.maps
+            {"side": t.shape[0], "coupling": encode_float64(t)}
+            for t in result.maps
         ],
         "objectives": list(result.objectives),
     }
@@ -136,8 +136,8 @@ def _cmd_align(args) -> int:
     if args.maps_out:
         _write_maps(result, args.maps_out)
     print(f"{'layer':>5} {'side':>5} {'objective':>14}")
-    for i, (tm, obj) in enumerate(zip(result.maps, result.objectives)):
-        print(f"{i:>5} {tm.side:>5} {_fmt(obj):>14}")
+    for i, (t, obj) in enumerate(zip(result.maps, result.objectives)):
+        print(f"{i:>5} {t.shape[0]:>5} {_fmt(obj):>14}")
     for i, ok in enumerate(result.converged):
         if not ok:
             print(f"warning: layer {i}: Sinkhorn did not converge; using its rounded last iterate",

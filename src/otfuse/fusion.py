@@ -8,14 +8,16 @@ included.  ``fuse`` blends the aligned model with B; ``direct_average`` is
 the no-alignment baseline.  The short fine-tuning that completes the recipe
 is ``nets.finetune``, run on the fused model by its caller.
 
-Each map is applied as the doubly stochastic matrix ``m * T``, so aligning
-a model with itself is the identity and hidden unit permutations are undone
+Each map ``T`` is an m x m array, applied as the doubly stochastic matrix
+``m * T``; one within 1e-9/m of a scaled permutation is applied as the exact
+0/1 matrix instead, because ``(1/49) * 49 != 1`` in float64.  So aligning a
+model with itself is the identity and hidden unit permutations are undone
 exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +33,6 @@ from .nets import (
 )
 from .transport import (
     OtSolution,
-    TransportMap,
     hard_permutation,
     identity_map,
     ot_objective,
@@ -67,7 +68,7 @@ class AlignmentResult:
     and pinned layers always do)."""
 
     aligned: Checkpoint
-    maps: tuple[TransportMap, ...]
+    maps: tuple[np.ndarray, ...]
     objectives: tuple[float, ...]
     converged: tuple[bool, ...]
 
@@ -90,10 +91,10 @@ def _solve_layer(cost: np.ndarray, opts: AlignmentOptions) -> OtSolution:
     return solve_sinkhorn(cost, eps=opts.sinkhorn_eps)
 
 
-def _carrier(tm: TransportMap) -> np.ndarray:
+def _carrier(t: np.ndarray) -> np.ndarray:
     """Matrix actually multiplied into the weights for this map."""
-    hard = hard_permutation(tm)
-    return hard if hard is not None else tm.side * tm.matrix
+    hard = hard_permutation(t)
+    return hard if hard is not None else t.shape[0] * t
 
 
 def align(model_a: Checkpoint, model_b: Checkpoint, opts: AlignmentOptions = AlignmentOptions()) -> AlignmentResult:
@@ -108,7 +109,7 @@ def align(model_a: Checkpoint, model_b: Checkpoint, opts: AlignmentOptions = Ali
     num_layers = len(model_a.specs)
     prev_carrier: np.ndarray | None = None  # layer 0 input coordinates are shared
     aligned_layers: list[LayerWeights] = []
-    maps: list[TransportMap] = []
+    maps: list[np.ndarray] = []
     objectives: list[float] = []
     converged: list[bool] = []
 
@@ -128,17 +129,17 @@ def align(model_a: Checkpoint, model_b: Checkpoint, opts: AlignmentOptions = Ali
         cost = row_distance_matrix(cost_a, cost_b)
 
         if opts.fix_last_layer and l == num_layers - 1:
-            tm = identity_map(spec.out_dim)
-            objectives.append(ot_objective(tm, cost))
+            t = identity_map(spec.out_dim)
+            objectives.append(ot_objective(t, cost))
             converged.append(True)
         else:
             solution = _solve_layer(cost, opts)
-            tm = solution.map
+            t = solution.map
             objectives.append(solution.objective)
             converged.append(solution.converged)
-        maps.append(tm)
+        maps.append(t)
 
-        carrier = _carrier(tm)
+        carrier = _carrier(t)
         w_tilde = matmul(transpose(carrier), w_hat)
         b_tilde = carrier.T @ ba
         aligned_layers.append(LayerWeights(w_tilde, b_tilde))
@@ -157,8 +158,7 @@ def _blend(a: Checkpoint, b: Checkpoint, lam: float, tag: str) -> Checkpoint:
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"lam must lie in [0, 1], got {lam}")
     blended = interpolate(a, b, lam)
-    meta = CheckpointMeta(seed=b.meta.seed, training_epochs=0, tag=tag)
-    return make_checkpoint(blended.specs, blended.layers, meta)
+    return replace(blended, meta=CheckpointMeta(seed=b.meta.seed, training_epochs=0, tag=tag))
 
 
 def fuse(aligned_a: Checkpoint, model_b: Checkpoint, lam: float = 0.5) -> Checkpoint:

@@ -1,5 +1,9 @@
 """Discrete optimal transport between weight rows under uniform marginals.
 
+A coupling (a map) is a plain float64 m x m array whose rows and columns
+each sum to 1/m.  Costs and maps pass one check on the way in: a non-empty,
+finite, square, non-negative matrix, else ``ValidationError``.
+
 With both marginals uniform and a square cost matrix, the transport problem
 is a linear assignment problem: its optimum is a permutation matrix scaled
 by 1/m.  ``solve_exact`` finds that vertex with the Jonker-Volgenant
@@ -36,35 +40,28 @@ _RIDGE = 1e-12  # Schur diagonal added, relative to its largest entry
 
 
 @dataclass(frozen=True, eq=False)
-class TransportMap:
-    """Non-negative m x m coupling whose rows and columns each sum to 1/m."""
-
-    matrix: np.ndarray
-
-    @property
-    def side(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class OtSolution:
-    map: TransportMap
+    map: np.ndarray
     objective: float
     solver: str
     iterations: int
     converged: bool = True
 
 
-def validate_transport_map(tm: TransportMap) -> TransportMap:
-    t = tm.matrix
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise ValidationError(f"transport map must be square, got {t.shape}")
-    if not np.isfinite(t).all():
-        raise ValidationError("transport map contains non-finite entries")
-    if (t < 0).any():
-        raise ValidationError("transport map has negative entries")
-    m = t.shape[0]
-    target = 1.0 / m
+def _check_cost(a, name: str = "cost matrix") -> np.ndarray:
+    """What costs and maps share: a non-empty, finite, square, non-negative
+    float64 matrix."""
+    d = as_matrix(a, name)
+    if d.shape[0] != d.shape[1]:
+        raise ValidationError(f"{name} must be square, got shape {d.shape}")
+    if (d < 0).any():
+        raise ValidationError(f"{name} has negative entries")
+    return d
+
+
+def validate_transport_map(t) -> np.ndarray:
+    t = _check_cost(t, "transport map")
+    target = 1.0 / t.shape[0]
     row_err = np.abs(t.sum(axis=1) - target).max()
     col_err = np.abs(t.sum(axis=0) - target).max()
     mass_err = abs(t.sum() - 1.0)
@@ -73,19 +70,18 @@ def validate_transport_map(tm: TransportMap) -> TransportMap:
             f"transport map marginals violate uniform constraints: "
             f"row {row_err:.3e}, col {col_err:.3e}, mass {mass_err:.3e} (atol {MARGINAL_TOL:g})"
         )
-    return tm
+    return t
 
 
-def identity_map(m: int) -> TransportMap:
+def identity_map(m: int) -> np.ndarray:
     if m < 1:
         raise ValidationError("map side must be positive")
-    return TransportMap(np.eye(m) / m)
+    return np.eye(m) / m
 
 
-def hard_permutation(tm: TransportMap) -> np.ndarray | None:
+def hard_permutation(t: np.ndarray) -> np.ndarray | None:
     """Exact 0/1 permutation matrix if the map is a scaled permutation (every
     entry within 1e-9/m of 0 or 1/m), else None."""
-    t = tm.matrix
     m = t.shape[0]
     nonzero = t > (0.5 / m)
     if not (
@@ -98,26 +94,15 @@ def hard_permutation(tm: TransportMap) -> np.ndarray | None:
     return nonzero.astype(np.float64)
 
 
-def ot_objective(tm, cost) -> float:
+def ot_objective(t, cost) -> float:
     """Frobenius inner product of the coupling and the cost matrix."""
-    t = tm.matrix if isinstance(tm, TransportMap) else as_matrix(tm, "coupling")
+    t = as_matrix(t, "coupling")
     cost = as_matrix(cost, "cost")
     if t.shape != cost.shape:
         raise ValidationError(
             f"coupling shape {t.shape} does not match cost shape {cost.shape}"
         )
     return float(np.sum(t * cost))
-
-
-def _check_cost(cost) -> np.ndarray:
-    d = np.asarray(cost, dtype=np.float64)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValidationError(f"cost matrix must be square, got shape {d.shape}")
-    if not np.isfinite(d).all():
-        raise ValidationError("cost matrix contains NaN or infinite entries")
-    if (d < 0).any():
-        raise ValidationError("cost matrix has negative entries")
-    return np.ascontiguousarray(d)
 
 
 def _jonker_volgenant(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -140,9 +125,8 @@ def _jonker_volgenant(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
     Throughout, every assigned row's column minimises c_ij - v_j over j,
     so u_i = c_i,col(i) - v_col(i) completes a feasible dual that is tight
-    on the matching.  Returns (col_for_row, u, v, searches) where u, v are
-    1-indexed (index 0 is a sentinel) and ``searches`` counts phase 3's
-    searches.
+    on the matching.  Returns (col_for_row, u, v, searches) where
+    ``searches`` counts phase 3's searches.
     """
     n = cost.shape[0]
     col_for_row = np.full(n, -1, dtype=np.int64)
@@ -216,7 +200,7 @@ def _jonker_volgenant(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
                 break
 
     u = cost[np.arange(n), col_for_row] - v[col_for_row]
-    return col_for_row, np.concatenate(([0.0], u)), np.concatenate(([0.0], v)), len(free)
+    return col_for_row, u, v, len(free)
 
 
 def _lex_smallest_assignment(zero: np.ndarray, col_for_row: np.ndarray) -> np.ndarray:
@@ -272,8 +256,8 @@ def _permutation_solution(cost: np.ndarray, assign: np.ndarray, solver: str, ite
     n = cost.shape[0]
     t = np.zeros((n, n))
     t[np.arange(n), assign] = 1.0 / n
-    tm = validate_transport_map(TransportMap(t))
-    return OtSolution(tm, ot_objective(tm, cost), solver, iterations)
+    t = validate_transport_map(t)
+    return OtSolution(t, ot_objective(t, cost), solver, iterations)
 
 
 def solve_exact(cost) -> OtSolution:
@@ -287,7 +271,7 @@ def solve_exact(cost) -> OtSolution:
     d = _check_cost(cost)
     col_for_row, u, v, searches = _jonker_volgenant(d)
     tol = 1e-9 * max(1.0, float(d.max()))
-    reduced = d - u[1:, None] - v[None, 1:]
+    reduced = d - u[:, None] - v[None, :]
     assign = _lex_smallest_assignment(reduced <= tol, col_for_row)
     return _permutation_solution(d, assign, "exact", iterations=searches)
 
@@ -487,11 +471,10 @@ def solve_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: 
     # the last iterate is near-feasible (within the stopping residuals);
     # rounding it onto the polytope keeps every returned map a valid
     # coupling and its objective a true upper bound on the exact optimum
-    tm = TransportMap(_round_to_polytope(t))
-    validate_transport_map(tm)
+    t = validate_transport_map(_round_to_polytope(t))
     return OtSolution(
-        tm,
-        ot_objective(tm, d),
+        t,
+        ot_objective(t, d),
         solver=f"sinkhorn(eps={eps:g})",
         iterations=iterations,
         converged=converged,

@@ -17,7 +17,6 @@ from otfuse.nets import (
 from otfuse.transport import (
     _ABSORB_ABOVE,
     OtSolution,
-    TransportMap,
     _check_cost,
     _kernel,
     _round_to_polytope,
@@ -305,8 +304,7 @@ def reference_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_it
     # the last iterate is near-feasible (within the stopping residuals);
     # rounding it onto the polytope keeps every returned map a valid
     # coupling and its objective a true upper bound on the exact optimum
-    tm = TransportMap(_round_to_polytope(t))
-    validate_transport_map(tm)
+    tm = validate_transport_map(_round_to_polytope(t))
     return OtSolution(
         tm,
         ot_objective(tm, d),

@@ -43,7 +43,7 @@ class TestSelfAlignment:
         m = random_checkpoint(rng, three_layer_specs())
         result = align(m, m)
         for tm in result.maps:
-            assert np.array_equal(tm.matrix, np.eye(tm.side) / tm.side)
+            assert np.array_equal(tm, np.eye(len(tm)) / len(tm))
         assert max_weight_difference(result.aligned, m) <= 1e-12
         assert all(obj == 0.0 for obj in result.objectives)
 
@@ -66,7 +66,7 @@ class TestPermutationRecovery:
         twin = permuted_twin(original, perms)
         result = align(twin, original)
         for tm, perm in zip(result.maps[:-1], perms):
-            assert np.array_equal(tm.matrix, permutation_matrix(perm) / 16)
+            assert np.array_equal(tm, permutation_matrix(perm) / 16)
         assert max_weight_difference(result.aligned, original) <= 1e-9
         for _ in range(20):
             x = rng.standard_normal(6)
@@ -91,7 +91,7 @@ class TestPermutationRecovery:
         opts = AlignmentOptions(solver="sinkhorn", sinkhorn_eps=1e-3)
         result = align(twin, original, opts)
         for tm, perm in zip(result.maps[:-1], perms):
-            assert np.abs(tm.matrix - permutation_matrix(perm) / 8).max() <= 1e-3
+            assert np.abs(tm - permutation_matrix(perm) / 8).max() <= 1e-3
         assert max_weight_difference(result.aligned, original) <= 1e-2
 
 
@@ -156,7 +156,7 @@ class TestAlignmentFlags:
         twin = permuted_twin(original, perms)
         opts = AlignmentOptions(cost_on_aligned_inputs=False)
         result = align(twin, original, opts)
-        assert np.array_equal(result.maps[0].matrix, permutation_matrix(perms[0]) / 9)
+        assert np.array_equal(result.maps[0], permutation_matrix(perms[0]) / 9)
 
     def test_bias_in_cost_runs_and_preserves_recovery(self):
         rng = np.random.default_rng(10)
@@ -171,7 +171,7 @@ class TestAlignmentFlags:
         m = random_checkpoint(rng, three_layer_specs())
         result = align(m, m, AlignmentOptions(fix_last_layer=False))
         last = result.maps[-1]
-        assert np.array_equal(last.matrix, np.eye(last.side) / last.side)
+        assert np.array_equal(last, np.eye(len(last)) / len(last))
 
     def test_spec_mismatch_rejected(self):
         rng = np.random.default_rng(12)
