@@ -20,18 +20,8 @@ from .errors import ValidationError
 from .fusion import AlignmentOptions, align, direct_average, fuse
 from .nets import Checkpoint, LayerSpec, TrainConfig, accuracy, finetune, loss, train
 
-METHOD_ORDER = (
-    "target",
-    "target_ft",
-    "broad",
-    "broad_ft",
-    "direct_avg",
-    "direct_avg_ft",
-    "aligned_avg",
-    "aligned_avg_ft",
-)
-
-METHOD_LABELS = {
+# method key -> report label, in report order
+METHODS = {
     "target": "target-domain model",
     "target_ft": "  + finetune",
     "broad": "broad-domain model",
@@ -40,6 +30,15 @@ METHOD_LABELS = {
     "direct_avg_ft": "  + finetune",
     "aligned_avg": "aligned avg.",
     "aligned_avg_ft": "  + finetune (fused)",
+}
+
+# score field -> report header: held-out error rates (percent) per domain,
+# then the union loss
+COLUMNS = {
+    "err_a": "heldout-A err%",
+    "err_b": "heldout-B err%",
+    "err_union": "union err%",
+    "loss_union": "union loss",
 }
 
 
@@ -76,23 +75,13 @@ class ExperimentConfig:
     output_dir: str | None = None
 
 
-@dataclass(frozen=True)
-class MethodMetrics:
-    """Held-out error rates (percent) per domain plus union loss."""
-
-    err_a: float
-    err_b: float
-    err_union: float
-    loss_union: float
-
-
 @dataclass(frozen=True, eq=False)
 class ExperimentReport:
     config: ExperimentConfig
-    per_seed: dict[str, list[MethodMetrics]]  # method -> metrics in seed order
+    per_seed: dict[str, np.ndarray]  # method -> seeds x COLUMNS scores
 
     def metric_array(self, method: str, field: str) -> np.ndarray:
-        return np.array([getattr(m, field) for m in self.per_seed[method]])
+        return self.per_seed[method][:, list(COLUMNS).index(field)].copy()
 
 
 def _child_seed(seed: int, stream: int) -> int:
@@ -108,17 +97,18 @@ def _model_specs() -> tuple[LayerSpec, ...]:
     return tuple(specs)
 
 
-def _score(model: Checkpoint, held_a: Dataset, held_b: Dataset, held_u: Dataset) -> MethodMetrics:
-    return MethodMetrics(
-        err_a=100.0 * (1.0 - accuracy(model, held_a)),
-        err_b=100.0 * (1.0 - accuracy(model, held_b)),
-        err_union=100.0 * (1.0 - accuracy(model, held_u)),
-        loss_union=loss(model, held_u),
-    )
+def _score(model: Checkpoint, held_a: Dataset, held_b: Dataset, held_u: Dataset) -> list[float]:
+    return [
+        100.0 * (1.0 - accuracy(model, held_a)),
+        100.0 * (1.0 - accuracy(model, held_b)),
+        100.0 * (1.0 - accuracy(model, held_u)),
+        loss(model, held_u),
+    ]
 
 
-def run_seed(cfg: ExperimentConfig, seed: int) -> dict[str, MethodMetrics]:
-    """Train the constituents and every fusion variant for one seed."""
+def run_seed(cfg: ExperimentConfig, seed: int) -> dict[str, list[float]]:
+    """Train the constituents and every fusion variant for one seed; each
+    method's scores are in ``COLUMNS`` order."""
     base = replace(TASK, domain_shift=cfg.domain_shift)
     train_a, held_a = gen_synthetic(replace(base, domains=(0,)), seed)
     train_b, held_b = gen_synthetic(replace(base, domains=(1,)), seed)
@@ -163,12 +153,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValidationError(f"experiment seeds must be distinct, got {list(cfg.seeds)}")
     if cfg.train_epochs < 0 or cfg.finetune_epochs < 0:
         raise ValidationError("epoch counts must be >= 0")
-    per_seed: dict[str, list[MethodMetrics]] = {m: [] for m in METHOD_ORDER}
-    for seed in cfg.seeds:
-        results = run_seed(cfg, seed)
-        for method in METHOD_ORDER:
-            per_seed[method].append(results[method])
-    report = ExperimentReport(cfg, per_seed)
+    if not 0.0 <= cfg.lam <= 1.0:
+        raise ValidationError(f"lam must lie in [0, 1], got {cfg.lam}")
+    AlignmentOptions(solver=cfg.solver)  # rejects an unknown solver before any training
+    rows = [run_seed(cfg, seed) for seed in cfg.seeds]
+    report = ExperimentReport(cfg, {m: np.array([r[m] for r in rows]) for m in METHODS})
     if cfg.output_dir is not None:
         os.makedirs(cfg.output_dir, exist_ok=True)
         with open(os.path.join(cfg.output_dir, "report.txt"), "w", encoding="utf-8") as fh:
@@ -178,12 +167,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return report
 
 
-def _mean_half_range(values: np.ndarray) -> tuple[float, float]:
-    return float(values.mean()), float((values.max() - values.min()) / 2.0)
-
-
-FIELDS = ("err_a", "err_b", "err_union", "loss_union")
-FIELD_HEADERS = ("heldout-A err%", "heldout-B err%", "union err%", "union loss")
+def _summary(report: ExperimentReport) -> dict[str, list[tuple[float, float]]]:
+    """Per method, the mean and half-range over seeds of every column."""
+    summary = {}
+    for method in METHODS:
+        cells = []
+        for field in COLUMNS:
+            values = report.metric_array(method, field)
+            cells.append((float(values.mean()), float((values.max() - values.min()) / 2.0)))
+        summary[method] = cells
+    return summary
 
 
 def format_report_text(report: ExperimentReport) -> str:
@@ -196,27 +189,20 @@ def format_report_text(report: ExperimentReport) -> str:
         "values are mean +- half-range over seeds",
         "",
     ]
-    header = f"{'method':<24}" + "".join(f"{h:>26}" for h in FIELD_HEADERS)
+    header = f"{'method':<24}" + "".join(f"{h:>26}" for h in COLUMNS.values())
     lines.append(header)
     lines.append("-" * len(header))
-    for method in METHOD_ORDER:
-        cells = []
-        for field in FIELDS:
-            mean, half = _mean_half_range(report.metric_array(method, field))
-            cells.append(f"{mean:.6g} +- {half:.3g}")
-        lines.append(f"{METHOD_LABELS[method]:<24}" + "".join(f"{c:>26}" for c in cells))
+    for method, cells in _summary(report).items():
+        texts = [f"{mean:.6g} +- {half:.3g}" for mean, half in cells]
+        lines.append(f"{METHODS[method]:<24}" + "".join(f"{t:>26}" for t in texts))
     return "\n".join(lines) + "\n"
 
 
 def format_report_csv(report: ExperimentReport) -> str:
     cols = ["method"]
-    for field in FIELDS:
+    for field in COLUMNS:
         cols += [f"{field}_mean", f"{field}_half_range"]
     rows = [",".join(cols)]
-    for method in METHOD_ORDER:
-        cells = [method]
-        for field in FIELDS:
-            mean, half = _mean_half_range(report.metric_array(method, field))
-            cells += [f"{mean:.6g}", f"{half:.6g}"]
-        rows.append(",".join(cells))
+    for method, cells in _summary(report).items():
+        rows.append(",".join([method] + [f"{x:.6g}" for cell in cells for x in cell]))
     return "\n".join(rows) + "\n"

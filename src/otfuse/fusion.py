@@ -60,6 +60,10 @@ class AlignmentOptions:
     fix_last_layer: bool = True
     bias_in_cost: bool = False
 
+    def __post_init__(self):
+        if self.solver not in SOLVERS:
+            raise ValidationError(f"unknown solver {self.solver!r}; expected one of {SOLVERS}")
+
 
 @dataclass(frozen=True, eq=False)
 class AlignmentResult:
@@ -71,11 +75,6 @@ class AlignmentResult:
     maps: tuple[np.ndarray, ...]
     objectives: tuple[float, ...]
     converged: tuple[bool, ...]
-
-
-def _validate_options(opts: AlignmentOptions) -> None:
-    if opts.solver not in SOLVERS:
-        raise ValidationError(f"unknown solver {opts.solver!r}; expected one of {SOLVERS}")
 
 
 def _check_same_architecture(a: Checkpoint, b: Checkpoint, op: str) -> None:
@@ -103,7 +102,6 @@ def align(model_a: Checkpoint, model_b: Checkpoint, opts: AlignmentOptions = Ali
     Model B is kept fixed; the returned checkpoint is A expressed in B's
     unit ordering, suitable for elementwise averaging with B.
     """
-    _validate_options(opts)
     _check_same_architecture(model_a, model_b, "align")
 
     num_layers = len(model_a.specs)

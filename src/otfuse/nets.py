@@ -269,9 +269,19 @@ def loss_gradients(ckpt: Checkpoint, data: Dataset) -> list[LayerWeights]:
     return [LayerWeights(gw, gb) for gw, gb in grads]
 
 
-def _sgd_epochs(ckpt: Checkpoint, data: Dataset, cfg: TrainConfig, rng) -> tuple[LayerWeights, ...]:
-    """Minibatch SGD on copies of ``ckpt``'s weights; data is validated by
-    the caller."""
+def train(specs, data: Dataset, cfg: TrainConfig) -> Checkpoint:
+    """Minibatch SGD from a seeded initialization; deterministic in cfg.seed."""
+    return finetune(init_checkpoint(specs, cfg.seed, tag="trained"), data, cfg)
+
+
+def finetune(ckpt: Checkpoint, data: Dataset, cfg: TrainConfig) -> Checkpoint:
+    """Continue minibatch SGD from an existing checkpoint for ``cfg.epochs``
+    epochs; deterministic in cfg.seed."""
+    validate_checkpoint(ckpt)
+    _check_model_data(ckpt, data)
+    if cfg.epochs == 0:
+        return ckpt
+    rng = seeded_rng(cfg.seed)
     ws = [layer.w.copy() for layer in ckpt.layers]
     bs = [layer.b.copy() for layer in ckpt.layers]
     n = data.features.shape[0]
@@ -288,37 +298,10 @@ def _sgd_epochs(ckpt: Checkpoint, data: Dataset, cfg: TrainConfig, rng) -> tuple
         raise NumericalError(
             "training diverged to non-finite weights; lower the learning rate"
         )
-    return tuple(LayerWeights(w, b) for w, b in zip(ws, bs))
-
-
-def train(specs, data: Dataset, cfg: TrainConfig) -> Checkpoint:
-    """Minibatch SGD from a seeded initialization; deterministic in cfg.seed."""
-    specs = validate_spec_chain(specs)
-    validate_dataset(data)
-    start = init_checkpoint(specs, cfg.seed, tag="trained")
-    _check_model_data(start, data)
-    rng = seeded_rng(cfg.seed)
-    layers = _sgd_epochs(start, data, cfg, rng)
-    meta = CheckpointMeta(
-        seed=cfg.seed, training_epochs=cfg.epochs, tag=start.meta.tag
-    )
-    return make_checkpoint(specs, layers, meta)
-
-
-def finetune(ckpt: Checkpoint, data: Dataset, cfg: TrainConfig | None = None) -> Checkpoint:
-    """Continue SGD from an existing checkpoint; defaults to a short run."""
-    validate_checkpoint(ckpt)
-    if cfg is None:
-        cfg = TrainConfig(epochs=DEFAULT_FINETUNE_EPOCHS)
-    _check_model_data(ckpt, data)
-    if cfg.epochs == 0:
-        return ckpt
-    rng = seeded_rng(cfg.seed)
-    layers = _sgd_epochs(ckpt, data, cfg, rng)
     meta = replace(
         ckpt.meta, training_epochs=ckpt.meta.training_epochs + cfg.epochs
     )
-    return make_checkpoint(ckpt.specs, layers, meta)
+    return make_checkpoint(ckpt.specs, [LayerWeights(w, b) for w, b in zip(ws, bs)], meta)
 
 
 def interpolate(ckpt0: Checkpoint, ckpt1: Checkpoint, alpha: float) -> Checkpoint:

@@ -73,33 +73,29 @@ class LandscapeCurve:
 
 def edit_distance(ref: Sequence[str], hyp: Sequence[str]) -> EditCounts:
     """Minimal substitutions + deletions + insertions turning ref into hyp."""
-    n, m = len(ref), len(hyp)
-    # DP over (cost, non-diagonal moves), minimized lexicographically
-    cost = np.zeros((n + 1, m + 1), dtype=np.int64)
-    skew = np.zeros((n + 1, m + 1), dtype=np.int64)
-    cost[:, 0] = np.arange(n + 1)
-    skew[:, 0] = np.arange(n + 1)
-    cost[0, :] = np.arange(m + 1)
-    skew[0, :] = np.arange(m + 1)
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            best = (cost[i - 1, j - 1] + (ref[i - 1] != hyp[j - 1]), skew[i - 1, j - 1])
-            for cand in (
-                (cost[i - 1, j] + 1, skew[i - 1, j] + 1),  # deletion
-                (cost[i, j - 1] + 1, skew[i, j - 1] + 1),  # insertion
-            ):
-                if cand < best:
-                    best = cand
-            cost[i, j], skew[i, j] = best
-    total = int(cost[n, m])
-    nondiag = int(skew[n, m])
-    diff = n - m  # deletions minus insertions is fixed by the lengths
+    # DP over (cost, non-diagonal moves), minimized lexicographically, kept
+    # one reference row at a time
+    prev = [(j, j) for j in range(len(hyp) + 1)]
+    for i, r in enumerate(ref, start=1):
+        row = [(i, i)]
+        for j, h in enumerate(hyp, start=1):
+            diag, up, left = prev[j - 1], prev[j], row[j - 1]
+            row.append(min(
+                (diag[0] + (r != h), diag[1]),  # match or substitution
+                (up[0] + 1, up[1] + 1),  # deletion
+                (left[0] + 1, left[1] + 1),  # insertion
+            ))
+        prev = row
+    total, nondiag = prev[-1]
+    diff = len(ref) - len(hyp)  # deletions minus insertions is fixed by the lengths
     dels = (nondiag + diff) // 2
     ins = (nondiag - diff) // 2
     return EditCounts(subs=total - nondiag, dels=dels, ins=ins)
 
 
-def _check_coverage(sets: Iterable[HypothesisSet], refs: Mapping[str, Sequence[str]]) -> None:
+def _reference_length(sets: Iterable[HypothesisSet], refs: Mapping[str, Sequence[str]]) -> int:
+    """Check that every set covers exactly the referenced utterances, then
+    return the total reference length, which must be positive."""
     ref_ids = set(refs)
     for hs in sets:
         missing = ref_ids - set(hs.items)
@@ -113,6 +109,10 @@ def _check_coverage(sets: Iterable[HypothesisSet], refs: Mapping[str, Sequence[s
                 f"system {hs.system_name!r} has hypotheses without references: "
                 f"{sorted(extra)[:5]}"
             )
+    ref_len = sum(len(tokens) for tokens in refs.values())
+    if ref_len == 0:
+        raise ValidationError("total reference length is zero")
+    return ref_len
 
 
 def _check_systems(sets: Sequence[HypothesisSet]) -> None:
@@ -126,10 +126,7 @@ def _check_systems(sets: Sequence[HypothesisSet]) -> None:
 
 def error_rate(refs: Mapping[str, Sequence[str]], hyps: HypothesisSet) -> float:
     """Sum of edit totals over the sum of reference lengths (may exceed 1)."""
-    _check_coverage([hyps], refs)
-    ref_len = sum(len(tokens) for tokens in refs.values())
-    if ref_len == 0:
-        raise ValidationError("total reference length is zero")
+    ref_len = _reference_length([hyps], refs)
     total = sum(
         edit_distance(refs[utt], hyps.items[utt].tokens).total for utt in refs
     )
@@ -140,20 +137,14 @@ def oracle_select(sets: Sequence[HypothesisSet], refs: Mapping[str, Sequence[str
     """Per utterance, pick the system with the fewest edits against the
     reference (ties go to the earliest system)."""
     _check_systems(sets)
-    _check_coverage(sets, refs)
-    ref_len = sum(len(tokens) for tokens in refs.values())
-    if ref_len == 0:
-        raise ValidationError("total reference length is zero")
+    ref_len = _reference_length(sets, refs)
     selection: dict[str, str] = {}
     total = 0
     for utt in refs:
-        best_name, best_edits = None, None
-        for hs in sets:
-            edits = edit_distance(refs[utt], hs.items[utt].tokens).total
-            if best_edits is None or edits < best_edits:
-                best_name, best_edits = hs.system_name, edits
-        selection[utt] = best_name
-        total += best_edits
+        edits = [edit_distance(refs[utt], hs.items[utt].tokens).total for hs in sets]
+        best = edits.index(min(edits))
+        selection[utt] = sets[best].system_name
+        total += edits[best]
     return OracleSelection(selection, total / ref_len)
 
 
@@ -172,7 +163,8 @@ def mean_confidence(hyp: Hypothesis) -> float:
 
 
 def confidence_select(sets: Sequence[HypothesisSet]) -> dict[str, str]:
-    """Per utterance, pick the system with the highest mean confidence."""
+    """Per utterance, pick the system with the highest mean confidence
+    (ties go to the earliest system)."""
     _check_systems(sets)
     utt_ids = set(sets[0].items)
     for hs in sets[1:]:
@@ -180,12 +172,8 @@ def confidence_select(sets: Sequence[HypothesisSet]) -> dict[str, str]:
             raise ValidationError("hypothesis sets cover different utterances")
     selection: dict[str, str] = {}
     for utt in sets[0].items:
-        best_name, best_conf = None, None
-        for hs in sets:
-            conf = mean_confidence(hs.items[utt])
-            if best_conf is None or conf > best_conf:
-                best_name, best_conf = hs.system_name, conf
-        selection[utt] = best_name
+        confs = [mean_confidence(hs.items[utt]) for hs in sets]
+        selection[utt] = sets[confs.index(max(confs))].system_name
     return selection
 
 
@@ -247,57 +235,56 @@ def _split_tokens(field: str) -> tuple[str, ...]:
     return tuple(field.split(" ")) if field else ()
 
 
-def read_references(path) -> dict[str, tuple[str, ...]]:
-    """Lines of ``utt_id<TAB>token token token``."""
-    refs: dict[str, tuple[str, ...]] = {}
+def _read_tsv(path, layout: str, max_fields: int, what: str) -> dict[str, tuple[str, list[str]]]:
+    """``utt_id -> (path:lineno, fields after the utt_id)`` for a file of
+    ``utt_id<TAB>...`` lines.
+
+    Blank lines are skipped; every other line has 2 to ``max_fields`` fields
+    (``layout`` names them in the error), no utt_id repeats, and the file
+    holds at least one record (``what`` names them in the error).
+    """
+    records: dict[str, tuple[str, list[str]]] = {}
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line:
             continue
+        where = f"{path}:{lineno}"
         parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataFormatError(
-                f"{path}:{lineno}: expected 'utt_id<TAB>tokens', got {len(parts)} fields"
-            )
-        utt, tokens = parts
-        if utt in refs:
-            raise DataFormatError(f"{path}:{lineno}: duplicate utt_id {utt!r}")
-        refs[utt] = _split_tokens(tokens)
-    if not refs:
-        raise DataFormatError(f"{path}: no references")
-    return refs
+        if not 2 <= len(parts) <= max_fields:
+            raise DataFormatError(f"{where}: expected '{layout}', got {len(parts)} fields")
+        if parts[0] in records:
+            raise DataFormatError(f"{where}: duplicate utt_id {parts[0]!r}")
+        records[parts[0]] = (where, parts[1:])
+    if not records:
+        raise DataFormatError(f"{path}: no {what}")
+    return records
+
+
+def read_references(path) -> dict[str, tuple[str, ...]]:
+    """Lines of ``utt_id<TAB>token token token``."""
+    records = _read_tsv(path, "utt_id<TAB>tokens", 2, "references")
+    return {utt: _split_tokens(fields[0]) for utt, (_, fields) in records.items()}
 
 
 def read_hypotheses(path, system_name: str) -> HypothesisSet:
     """Lines of ``utt_id<TAB>tokens[<TAB>c1 c2 c3]`` with optional confidences."""
     items: dict[str, Hypothesis] = {}
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) not in (2, 3):
-            raise DataFormatError(
-                f"{path}:{lineno}: expected 2 or 3 tab-separated fields, got {len(parts)}"
-            )
-        utt = parts[0]
-        if utt in items:
-            raise DataFormatError(f"{path}:{lineno}: duplicate utt_id {utt!r}")
-        tokens = _split_tokens(parts[1])
+    for utt, (where, fields) in _read_tsv(
+        path, "utt_id<TAB>tokens[<TAB>confidences]", 3, "hypotheses"
+    ).items():
+        tokens = _split_tokens(fields[0])
         confidences = None
-        if len(parts) == 3:
+        if len(fields) == 2:
             try:
-                confidences = tuple(float(c) for c in parts[2].split(" ") if c)
+                confidences = tuple(float(c) for c in fields[1].split(" ") if c)
             except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad confidence ({exc})") from exc
+                raise DataFormatError(f"{where}: bad confidence ({exc})") from exc
             if len(confidences) != len(tokens):
                 raise DataFormatError(
-                    f"{path}:{lineno}: {len(confidences)} confidences for "
-                    f"{len(tokens)} tokens"
+                    f"{where}: {len(confidences)} confidences for {len(tokens)} tokens"
                 )
             if any(not 0.0 <= c <= 1.0 for c in confidences):
-                raise DataFormatError(f"{path}:{lineno}: confidence outside [0, 1]")
+                raise DataFormatError(f"{where}: confidence outside [0, 1]")
         items[utt] = Hypothesis(utt, tokens, confidences)
-    if not items:
-        raise DataFormatError(f"{path}: no hypotheses")
     return HypothesisSet(system_name, items)
 
 

@@ -19,7 +19,7 @@ import json
 
 import numpy as np
 
-from .errors import CheckpointFormatError, CheckpointVersionError
+from .errors import CheckpointFormatError, CheckpointVersionError, ValidationError
 from .nets import Checkpoint, CheckpointMeta, LayerSpec, LayerWeights, make_checkpoint
 
 FORMAT_VERSION = 1
@@ -120,7 +120,7 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
         layers.append(LayerWeights(w.reshape(spec.out_dim, spec.in_dim), b))
     try:
         return make_checkpoint(specs, layers, meta)
-    except Exception as exc:
+    except ValidationError as exc:
         raise CheckpointFormatError(
             f"checkpoint fails validation: {exc}", code="shape_mismatch"
         ) from exc

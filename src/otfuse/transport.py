@@ -418,8 +418,10 @@ def solve_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: 
         eps = 0.01 * mean if mean > 0 else 1.0
     if not (np.isfinite(eps) and eps > 0):
         raise ValidationError(f"sinkhorn eps must be finite and positive, got {eps}")
-    if tol <= 0 or max_iter < 1:
-        raise ValidationError("sinkhorn tol must be positive and max_iter >= 1")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValidationError(f"sinkhorn tol must be finite and positive, got {tol}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValidationError(f"sinkhorn max_iter must be an integer >= 1, got {max_iter!r}")
 
     with np.errstate(over="ignore"):
         scaled = d / eps

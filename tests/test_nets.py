@@ -5,10 +5,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import otfuse.experiment as experiment
 from helpers import checkpoints_equal, forward, random_checkpoint, random_specs
 from otfuse.data import make_dataset, seeded_rng
 from otfuse.errors import ValidationError
-from otfuse.experiment import ExperimentConfig, format_report_csv, run_experiment
+from otfuse.experiment import (
+    ExperimentConfig,
+    format_report_csv,
+    format_report_text,
+    run_experiment,
+)
 from otfuse.nets import (
     Checkpoint,
     CheckpointMeta,
@@ -377,6 +383,20 @@ class TestSgdMatchesReference:
 def test_default_experiment_report_is_pinned():
     """The report's bytes at the default configuration and seed 0.  Values
     print with 6 significant digits, so BLAS thread count does not move it."""
-    csv = format_report_csv(run_experiment(ExperimentConfig(seeds=(0,))))
+    report = run_experiment(ExperimentConfig(seeds=(0,)))
+    csv = format_report_csv(report)
     digest = hashlib.sha256(csv.encode("utf-8")).hexdigest()
     assert digest == "de5599babef3fceaf5afb0cc38e4cef83846512ce7585a7b68cf031dbac7f7fe"
+    text = format_report_text(report)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == "710d2e103eb95f507a5113bbb3dc8961a1afdb4301ae6a9168f209e5a7363cfb"
+
+
+@pytest.mark.parametrize("cfg", [ExperimentConfig(lam=2.0), ExperimentConfig(solver="bogus")])
+def test_experiment_rejects_bad_config_before_training(cfg, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the configuration was checked")
+
+    monkeypatch.setattr(experiment, "train", no_training)
+    with pytest.raises(ValidationError):
+        run_experiment(cfg)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import otfuse.serialize as serialize
 from helpers import checkpoints_equal, random_checkpoint
 from otfuse.errors import CheckpointFormatError, CheckpointVersionError
 from otfuse.serialize import (
@@ -131,4 +132,17 @@ def test_wrongly_typed_top_level_field_is_corrupt(field, value):
         target = target[int(key) if key.isdigit() else key]
     target[last] = value
     with pytest.raises(CheckpointFormatError):
+        checkpoint_from_dict(doc)
+
+
+def test_internal_fault_is_not_reported_as_corrupt(monkeypatch):
+    """Only a validation failure means a bad file; any other error is a
+    fault of the program and must propagate unchanged."""
+    doc = checkpoint_to_dict(random_checkpoint(np.random.default_rng(8)))
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr(serialize, "make_checkpoint", broken)
+    with pytest.raises(RuntimeError, match="internal fault"):
         checkpoint_from_dict(doc)

@@ -264,6 +264,16 @@ class TestSinkhorn:
         with pytest.raises(ValidationError):
             solve_sinkhorn(np.eye(3), eps=eps)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValidationError):
+            solve_sinkhorn(np.eye(3), tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [2.5, 10.0, "10", None, 0, -1])
+    def test_max_iter_must_be_a_positive_integer(self, max_iter):
+        with pytest.raises(ValidationError):
+            solve_sinkhorn(np.eye(3), max_iter=max_iter)
+
     def test_max_iter_exhaustion_flags_not_raises(self):
         rng = np.random.default_rng(20)
         d = rng.uniform(0, 2, (5, 5))
