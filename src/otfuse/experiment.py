@@ -156,10 +156,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if not 0.0 <= cfg.lam <= 1.0:
         raise ValidationError(f"lam must lie in [0, 1], got {cfg.lam}")
     AlignmentOptions(solver=cfg.solver)  # rejects an unknown solver before any training
+    if cfg.output_dir is not None:
+        os.makedirs(cfg.output_dir, exist_ok=True)
     rows = [run_seed(cfg, seed) for seed in cfg.seeds]
     report = ExperimentReport(cfg, {m: np.array([r[m] for r in rows]) for m in METHODS})
     if cfg.output_dir is not None:
-        os.makedirs(cfg.output_dir, exist_ok=True)
         with open(os.path.join(cfg.output_dir, "report.txt"), "w", encoding="utf-8") as fh:
             fh.write(format_report_text(report))
         with open(os.path.join(cfg.output_dir, "report.csv"), "w", encoding="utf-8") as fh:

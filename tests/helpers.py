@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from otfuse.data import Dataset
+from otfuse.data import Dataset, DomainMixtureConfig, gen_synthetic
 from otfuse.errors import NumericalError, SinkhornUnderflowError, ValidationError
 from otfuse.nets import (
     Checkpoint,
     CheckpointMeta,
     LayerSpec,
     LayerWeights,
+    TrainConfig,
     forward_batch,
     make_checkpoint,
+    train,
 )
 from otfuse.transport import (
     _ABSORB_ABOVE,
@@ -81,6 +83,21 @@ def random_checkpoint(rng, specs=None, scale: float = 1.0, **spec_kwargs) -> Che
     ]
     meta = CheckpointMeta(seed=int(rng.integers(0, 2**31)), tag="random")
     return make_checkpoint(specs, layers, meta)
+
+
+def trained_pair(seed=0, epochs=40, hidden=10):
+    """Two 6-hidden-hidden-4 relu nets trained on one synthetic set from
+    different initialisations; returns (a, b, train_set)."""
+    cfg = DomainMixtureConfig(num_classes=4, feature_dim=6, domains=(0, 1))
+    tr, _ = gen_synthetic(cfg, seed)
+    specs = (
+        LayerSpec(6, hidden, "relu"),
+        LayerSpec(hidden, hidden, "relu"),
+        LayerSpec(hidden, 4, "identity"),
+    )
+    a = train(specs, tr, TrainConfig(epochs=epochs, batch_size=32, learning_rate=0.1, seed=seed * 2 + 1))
+    b = train(specs, tr, TrainConfig(epochs=epochs, batch_size=32, learning_rate=0.1, seed=seed * 2 + 2))
+    return a, b, tr
 
 
 def permutation_matrix(perm: np.ndarray) -> np.ndarray:

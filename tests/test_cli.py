@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from otfuse import fusion, transport
+from otfuse import experiment, fusion, transport
 from otfuse.cli import main
 from otfuse.data import DomainMixtureConfig, gen_synthetic, save_dataset_csv
 from otfuse.fusion import AlignmentOptions, align
@@ -345,6 +345,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "seeds must be distinct" in captured.err
+
+    def test_unusable_out_dir_is_two_before_training(self, workdir, capsys, monkeypatch):
+        def no_training(cfg, seed):
+            raise AssertionError("run_seed called before the output directory was checked")
+
+        monkeypatch.setattr(experiment, "run_seed", no_training)
+        (workdir / "afile").write_text("")
+        assert main(["experiment", "--seeds", "0,1",
+                     "--out-dir", str(workdir / "afile" / "sub")]) == 2
+        assert "Not a directory" in capsys.readouterr().err
 
     def test_shape_mismatch_is_two(self, workdir, capsys):
         rng = np.random.default_rng(0)

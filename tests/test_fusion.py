@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import forward, permutation_matrix, permuted_twin, random_checkpoint
+from helpers import forward, permutation_matrix, permuted_twin, random_checkpoint, trained_pair
 from otfuse import fusion
-from otfuse.data import DomainMixtureConfig, gen_synthetic
 from otfuse.errors import ValidationError
 from otfuse.fusion import (
     AlignmentOptions,
@@ -11,12 +10,7 @@ from otfuse.fusion import (
     direct_average,
     fuse,
 )
-from otfuse.nets import (
-    LayerSpec,
-    TrainConfig,
-    max_weight_difference,
-    train,
-)
+from otfuse.nets import LayerSpec, max_weight_difference
 from otfuse.transport import validate_transport_map
 
 
@@ -26,15 +20,6 @@ def three_layer_specs(in_dim=6, hidden=10, classes=4, activation="relu"):
         LayerSpec(hidden, hidden, activation),
         LayerSpec(hidden, classes, "identity"),
     )
-
-
-def trained_pair(seed=0, epochs=40):
-    cfg = DomainMixtureConfig(num_classes=4, feature_dim=6, domains=(0, 1))
-    tr, _ = gen_synthetic(cfg, seed)
-    specs = three_layer_specs()
-    a = train(specs, tr, TrainConfig(epochs=epochs, batch_size=32, learning_rate=0.1, seed=seed * 2 + 1))
-    b = train(specs, tr, TrainConfig(epochs=epochs, batch_size=32, learning_rate=0.1, seed=seed * 2 + 2))
-    return a, b, tr
 
 
 class TestSelfAlignment:

@@ -3,8 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import trained_pair
 from otfuse.errors import ValidationError
 from otfuse.linalg import matmul, row_distance_matrix, transpose
+from otfuse.transport import solve_exact
+
+U = 2.0**-53  # float64 unit roundoff
 
 
 def naive_matmul(a, b):
@@ -15,6 +19,15 @@ def naive_matmul(a, b):
             for k in range(a.shape[1]):
                 acc += a[i, k] * b[k, j]
             out[i, j] = acc
+    return out
+
+
+def explicit_distances(a, b):
+    """The oracle: each distance from its explicit difference, a row at a time."""
+    out = np.empty((len(a), len(b)))
+    for i in range(len(a)):
+        diff = a[i] - b
+        out[i] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return out
 
 
@@ -99,18 +112,39 @@ class TestRowDistanceMatrix:
         [pytest.param(m, (1, 7, 24), id=str(m)) for m in (1, 15, 16, 17, 33)]
         + [pytest.param(100, (100,), id="100x100"), pytest.param(181, (200,), id="181x200")],
     )
-    def test_row_blocks_match_one_shot_formula(self, m, ks):
-        # the blocked build must be bit-identical to forming every
-        # difference at once: whole-matrix blocks, blocks of 3 rows of a
-        # that do not divide m (100x100), and one row of a against part of
-        # b (181x200)
+    def test_matches_explicit_differences(self, m, ks):
+        # rows of norm 1e-6 to 1e3; b permutes a's rows, nudging each by a
+        # relative 1e-14 to 1, so the repaired, near-threshold and Gram-form
+        # entries all occur; every third row of both is zero
         rng = np.random.default_rng(100 + m)
         for k in ks:
-            a = rng.standard_normal((m, k))
-            b = rng.standard_normal((m, k))
-            diff = a[:, None, :] - b[None, :, :]
-            expected = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-            assert np.array_equal(row_distance_matrix(a, b), expected)
+            a = 10.0 ** rng.uniform(-6, 3, (m, 1)) * rng.standard_normal((m, k))
+            b = a[rng.permutation(m)]
+            nudge = 10.0 ** rng.uniform(-14, 0, (m, 1)) * rng.standard_normal((m, k))
+            b = b + nudge * np.abs(b).max(axis=1, keepdims=True)
+            b[: m // 3] = a[: m // 3]  # exact duplicates
+            a[::3] = 0.0
+            b[1::3] = 0.0
+            got, ref = row_distance_matrix(a, b), explicit_distances(a, b)
+            assert np.array_equal(got[ref == 0.0], ref[ref == 0.0])
+            # the docstring's bound, plus the oracle's own rounding
+            rtol = 2e6 * (k + 2) * U + U + (k + 2) * U
+            assert (np.abs(got - ref) <= rtol * ref).all()
+
+    @pytest.mark.parametrize("m", [128, 256])
+    @pytest.mark.parametrize("panel", ["tie_heavy", "trained"])
+    def test_exact_assignments_match_explicit_costs(self, m, panel):
+        if panel == "tie_heavy":
+            rng = np.random.default_rng(m)
+            a = rng.standard_normal((m, m))
+            a[rng.permutation(m)[: m // 2]] = 0.0
+            pairs = [(a, a[rng.permutation(m)])]
+        else:
+            net_a, net_b, _ = trained_pair(seed=m, epochs=10, hidden=m)
+            pairs = [(la.w, lb.w) for la, lb in zip(net_a.layers[:-1], net_b.layers[:-1])]
+        for a, b in pairs:
+            got = solve_exact(row_distance_matrix(a, b)).map
+            assert np.array_equal(got, solve_exact(explicit_distances(a, b)).map)
 
     @pytest.mark.parametrize(
         "m, k",
