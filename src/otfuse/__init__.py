@@ -6,7 +6,6 @@ from .data import (
     concat_datasets,
     gen_synthetic,
     load_dataset_csv,
-    make_dataset,
     save_dataset_csv,
 )
 from .errors import (

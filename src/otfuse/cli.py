@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .data import Dataset, load_dataset_csv, make_dataset
+from .data import Dataset, load_dataset_csv
 from .errors import DataFormatError, NumericalError, ValidationError
 from .experiment import ExperimentConfig, format_report_csv, format_report_text, run_experiment
 from .fusion import SOLVERS, AlignmentOptions, align, fuse
@@ -159,7 +159,7 @@ def _load_model_data(num_classes: int, path) -> Dataset:
     """Read a dataset whose class count is the model's output width, so a
     file that lacks the highest class still matches the model."""
     data = load_dataset_csv(path)
-    return make_dataset(data.features, data.labels, num_classes)
+    return Dataset(data.features, data.labels, num_classes)
 
 
 def _cmd_finetune(args) -> int:

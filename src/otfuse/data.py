@@ -6,6 +6,9 @@ each non-canonical domain's class means are shifted by a fixed amount in a
 random direction.  Sampling uses one independent, seeded stream per domain,
 so generating domain 0 alone yields exactly the domain-0 rows of a joint
 generation.
+
+A ``Dataset`` checks itself and freezes copies of its arrays when it is
+built, so nothing that takes one checks it again.
 """
 
 from __future__ import annotations
@@ -24,44 +27,44 @@ def seeded_rng(*keys: int) -> np.random.Generator:
     return np.random.default_rng([int(k) % _SEED_SPACE for k in keys])
 
 
+def frozen_copy(values, dtype=np.float64) -> np.ndarray:
+    """A read-only, C-contiguous copy of ``values`` as ``dtype``."""
+    out = np.array(values, dtype=dtype, order="C")
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Feature rows with integer class labels in ``[0, num_classes)``."""
+    """Feature rows with integer class labels in ``[0, num_classes)``.  Building
+    one stores read-only float64 features and int64 labels, then validates them."""
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
 
-
-def validate_dataset(ds: Dataset) -> Dataset:
-    if ds.features.ndim != 2:
-        raise ValidationError(f"features must be 2-D, got {ds.features.shape}")
-    if ds.features.shape[0] == 0:
-        raise ValidationError("dataset is empty")
-    if not np.isfinite(ds.features).all():
-        raise ValidationError("features contain non-finite values")
-    if ds.labels.shape != (ds.features.shape[0],):
-        raise ValidationError(
-            f"labels shape {ds.labels.shape} does not match "
-            f"{ds.features.shape[0]} samples"
-        )
-    if ds.num_classes < 1:
-        raise ValidationError("num_classes must be positive")
-    if ds.labels.min() < 0 or ds.labels.max() >= ds.num_classes:
-        raise ValidationError(
-            f"labels must lie in [0, {ds.num_classes}), "
-            f"got range [{ds.labels.min()}, {ds.labels.max()}]"
-        )
-    return ds
-
-
-def make_dataset(features, labels, num_classes: int) -> Dataset:
-    ds = Dataset(
-        np.ascontiguousarray(features, dtype=np.float64),
-        np.ascontiguousarray(labels, dtype=np.int64),
-        int(num_classes),
-    )
-    return validate_dataset(ds)
+    def __post_init__(self):
+        object.__setattr__(self, "features", frozen_copy(self.features))
+        object.__setattr__(self, "labels", frozen_copy(self.labels, np.int64))
+        object.__setattr__(self, "num_classes", int(self.num_classes))
+        if self.features.ndim != 2:
+            raise ValidationError(f"features must be 2-D, got {self.features.shape}")
+        if self.features.shape[0] == 0:
+            raise ValidationError("dataset is empty")
+        if not np.isfinite(self.features).all():
+            raise ValidationError("features contain non-finite values")
+        if self.labels.shape != (self.features.shape[0],):
+            raise ValidationError(
+                f"labels shape {self.labels.shape} does not match "
+                f"{self.features.shape[0]} samples"
+            )
+        if self.num_classes < 1:
+            raise ValidationError("num_classes must be positive")
+        if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
+            raise ValidationError(
+                f"labels must lie in [0, {self.num_classes}), "
+                f"got range [{self.labels.min()}, {self.labels.max()}]"
+            )
 
 
 def concat_datasets(*parts: Dataset) -> Dataset:
@@ -72,7 +75,7 @@ def concat_datasets(*parts: Dataset) -> Dataset:
     classes = {p.num_classes for p in parts}
     if len(dims) != 1 or len(classes) != 1:
         raise ValidationError("datasets disagree on feature_dim or num_classes")
-    return make_dataset(
+    return Dataset(
         np.vstack([p.features for p in parts]),
         np.concatenate([p.labels for p in parts]),
         parts[0].num_classes,
@@ -141,14 +144,13 @@ def gen_synthetic(cfg: DomainMixtureConfig, seed: int) -> tuple[Dataset, Dataset
                 xs.append(pts)
                 ys.append(np.full(per_class, c, dtype=np.int64))
 
-    train = make_dataset(np.vstack(train_x), np.concatenate(train_y), cfg.num_classes)
-    heldout = make_dataset(np.vstack(held_x), np.concatenate(held_y), cfg.num_classes)
+    train = Dataset(np.vstack(train_x), np.concatenate(train_y), cfg.num_classes)
+    heldout = Dataset(np.vstack(held_x), np.concatenate(held_y), cfg.num_classes)
     return train, heldout
 
 
 def save_dataset_csv(ds: Dataset, path) -> None:
     """Write ``f0,...,f{d-1},label`` rows under the standard header."""
-    validate_dataset(ds)
     dim = ds.features.shape[1]
     header = ",".join(f"f{i}" for i in range(dim)) + ",label"
     with open(path, "w", encoding="utf-8") as fh:
@@ -190,6 +192,8 @@ def load_dataset_csv(path) -> Dataset:
             labels.append(int(cells[-1]))
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+        if not np.isfinite(feats[-1]).all():
+            raise DataFormatError(f"{path}:{lineno}: non-finite feature value")
     if not feats:
         raise DataFormatError(f"{path}: no samples")
     try:
@@ -198,4 +202,4 @@ def load_dataset_csv(path) -> Dataset:
         raise DataFormatError(f"{path}: label out of range ({exc})") from exc
     if labels_arr.min() < 0:
         raise DataFormatError(f"{path}: negative label")
-    return make_dataset(np.asarray(feats), labels_arr, int(labels_arr.max()) + 1)
+    return Dataset(np.asarray(feats), labels_arr, int(labels_arr.max()) + 1)

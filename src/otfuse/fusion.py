@@ -29,7 +29,7 @@ from .nets import (
     LayerWeights,
     interpolate,
     make_checkpoint,
-    validate_checkpoint,
+    validate_checkpoint,  # unused; perfbench/tracer.py TARGETS binds it here (ROADMAP item 1b)
 )
 from .transport import (
     OtSolution,
@@ -78,8 +78,6 @@ class AlignmentResult:
 
 
 def _check_same_architecture(a: Checkpoint, b: Checkpoint, op: str) -> None:
-    validate_checkpoint(a)
-    validate_checkpoint(b)
     if a.specs != b.specs:
         raise ValidationError(f"{op} requires identical layer specs: {a.specs} vs {b.specs}")
 

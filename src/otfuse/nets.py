@@ -4,6 +4,9 @@ Everything here is seeded and single-threaded: given the same inputs and the
 same seed, ``train``/``finetune`` return bit-identical checkpoints.  Layers
 are affine maps followed by elementwise activations (relu, tanh, identity);
 the final layer always produces raw logits.
+
+A ``Checkpoint`` checks itself and freezes copies of its arrays when it is
+built, so nothing that takes one checks it again.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, seeded_rng, validate_dataset
+from .data import Dataset, frozen_copy, seeded_rng
 from .errors import NumericalError, ValidationError
 
 ACTIVATIONS = ("relu", "tanh", "identity")
@@ -47,11 +50,18 @@ class CheckpointMeta:
 
 @dataclass(frozen=True, eq=False)
 class Checkpoint:
-    """An ordered stack of layer weights plus architecture metadata."""
+    """An ordered stack of layer weights plus architecture metadata.  Building
+    one stores read-only float64 copies of the arrays, then validates them."""
 
     specs: tuple[LayerSpec, ...]
     layers: tuple[LayerWeights, ...]
     meta: CheckpointMeta = CheckpointMeta()
+
+    def __post_init__(self):
+        layers = tuple(LayerWeights(frozen_copy(l.w), frozen_copy(l.b)) for l in self.layers)
+        object.__setattr__(self, "specs", tuple(self.specs))
+        object.__setattr__(self, "layers", layers)
+        validate_checkpoint(self)
 
 
 @dataclass(frozen=True)
@@ -81,6 +91,8 @@ def validate_spec_chain(specs) -> tuple[LayerSpec, ...]:
     for i, spec in enumerate(specs):
         if spec.in_dim < 1 or spec.out_dim < 1:
             raise ValidationError(f"layer {i} has non-positive dimensions: {spec}")
+        if spec.out_dim * spec.in_dim > np.iinfo(np.intp).max // 8:
+            raise ValidationError(f"layer {i} is too large for one float64 array: {spec}")
         if spec.activation not in ACTIVATIONS:
             raise ValidationError(
                 f"layer {i} has unknown activation {spec.activation!r}; "
@@ -96,7 +108,8 @@ def validate_spec_chain(specs) -> tuple[LayerSpec, ...]:
     return specs
 
 
-def validate_checkpoint(ckpt: Checkpoint) -> Checkpoint:
+def validate_checkpoint(ckpt: Checkpoint) -> None:
+    """The checks ``Checkpoint`` runs on itself when it is built."""
     validate_spec_chain(ckpt.specs)
     if len(ckpt.layers) != len(ckpt.specs):
         raise ValidationError(
@@ -116,19 +129,11 @@ def validate_checkpoint(ckpt: Checkpoint) -> Checkpoint:
             )
         if not (np.isfinite(layer.w).all() and np.isfinite(layer.b).all()):
             raise ValidationError(f"layer {i} contains non-finite values")
-    return ckpt
 
 
 def make_checkpoint(specs, layers, meta: CheckpointMeta = CheckpointMeta()) -> Checkpoint:
-    """Build and validate a checkpoint from float64 copies of the inputs."""
-    frozen = []
-    for layer in layers:
-        w = np.array(layer.w, dtype=np.float64)
-        b = np.array(layer.b, dtype=np.float64)
-        w.setflags(write=False)
-        b.setflags(write=False)
-        frozen.append(LayerWeights(w, b))
-    return validate_checkpoint(Checkpoint(tuple(specs), tuple(frozen), meta))
+    """``Checkpoint(...)`` under the name the benchmark's tracer wraps (ROADMAP item 1b)."""
+    return Checkpoint(specs, layers, meta)
 
 
 def max_weight_difference(a: Checkpoint, b: Checkpoint) -> float:
@@ -194,29 +199,28 @@ def accuracy_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(pred == np.asarray(labels)))
 
 
-def _check_model_data(ckpt: Checkpoint, data: Dataset) -> None:
-    validate_dataset(data)
-    if data.features.shape[1] != ckpt.specs[0].in_dim:
+def _check_model_data(specs: tuple[LayerSpec, ...], data: Dataset) -> None:
+    if data.features.shape[1] != specs[0].in_dim:
         raise ValidationError(
             f"dataset feature_dim {data.features.shape[1]} does not match "
-            f"model in_dim {ckpt.specs[0].in_dim}"
+            f"model in_dim {specs[0].in_dim}"
         )
-    if data.num_classes != ckpt.specs[-1].out_dim:
+    if data.num_classes != specs[-1].out_dim:
         raise ValidationError(
             f"dataset num_classes {data.num_classes} does not match "
-            f"model out_dim {ckpt.specs[-1].out_dim}"
+            f"model out_dim {specs[-1].out_dim}"
         )
 
 
 def loss(ckpt: Checkpoint, data: Dataset) -> float:
     """Mean cross-entropy of the model on the dataset."""
-    _check_model_data(ckpt, data)
+    _check_model_data(ckpt.specs, data)
     return cross_entropy_from_logits(forward_batch(ckpt, data.features), data.labels)
 
 
 def accuracy(ckpt: Checkpoint, data: Dataset) -> float:
     """Fraction of samples whose argmax logit equals the label."""
-    _check_model_data(ckpt, data)
+    _check_model_data(ckpt.specs, data)
     return accuracy_from_logits(forward_batch(ckpt, data.features), data.labels)
 
 
@@ -258,7 +262,7 @@ def loss_gradients(ckpt: Checkpoint, data: Dataset) -> list[LayerWeights]:
 
     Returned as one ``LayerWeights`` of gradients per layer, in layer order.
     """
-    _check_model_data(ckpt, data)
+    _check_model_data(ckpt.specs, data)
     grads = _backprop(
         ckpt.specs,
         [layer.w for layer in ckpt.layers],
@@ -271,14 +275,15 @@ def loss_gradients(ckpt: Checkpoint, data: Dataset) -> list[LayerWeights]:
 
 def train(specs, data: Dataset, cfg: TrainConfig) -> Checkpoint:
     """Minibatch SGD from a seeded initialization; deterministic in cfg.seed."""
+    specs = validate_spec_chain(specs)
+    _check_model_data(specs, data)  # before init_checkpoint allocates the weights
     return finetune(init_checkpoint(specs, cfg.seed, tag="trained"), data, cfg)
 
 
 def finetune(ckpt: Checkpoint, data: Dataset, cfg: TrainConfig) -> Checkpoint:
     """Continue minibatch SGD from an existing checkpoint for ``cfg.epochs``
     epochs; deterministic in cfg.seed."""
-    validate_checkpoint(ckpt)
-    _check_model_data(ckpt, data)
+    _check_model_data(ckpt.specs, data)
     if cfg.epochs == 0:
         return ckpt
     rng = seeded_rng(cfg.seed)
@@ -306,8 +311,6 @@ def finetune(ckpt: Checkpoint, data: Dataset, cfg: TrainConfig) -> Checkpoint:
 
 def interpolate(ckpt0: Checkpoint, ckpt1: Checkpoint, alpha: float) -> Checkpoint:
     """Affine blend ``(1 - alpha) * ckpt0 + alpha * ckpt1``, layer by layer."""
-    validate_checkpoint(ckpt0)
-    validate_checkpoint(ckpt1)
     if ckpt0.specs != ckpt1.specs:
         raise ValidationError("interpolate requires identical architectures")
     layers = [

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, read_lines, validate_dataset
+from .data import Dataset, read_lines
 from .errors import DataFormatError, ValidationError
 from .nets import (
     Checkpoint,
@@ -23,7 +23,6 @@ from .nets import (
     forward_batch,
     interpolate,
     loss,
-    validate_checkpoint,
 )
 
 
@@ -195,9 +194,6 @@ def ensemble_logits(models: Sequence[Checkpoint], data: Dataset) -> EnsembleMetr
         raise ValidationError(
             f"models disagree on feature/class dims: in {in_dims}, out {out_dims}"
         )
-    for m in models:
-        validate_checkpoint(m)
-    validate_dataset(data)
     if data.num_classes != next(iter(out_dims)):
         raise ValidationError(
             f"dataset num_classes {data.num_classes} does not match model "

@@ -21,7 +21,7 @@ from helpers import (
     random_checkpoint,
     random_specs,
 )
-from otfuse.data import DomainMixtureConfig, gen_synthetic, make_dataset
+from otfuse.data import Dataset, DomainMixtureConfig, gen_synthetic
 from otfuse.errors import CheckpointFormatError, CheckpointVersionError
 from otfuse.experiment import ExperimentConfig, run_experiment
 from otfuse.fusion import align, fuse
@@ -154,7 +154,7 @@ def test_criterion_06_gradient_correctness():
             specs = random_specs(rng, max_layers=3, max_units=8, activation="tanh")
             ckpt = random_checkpoint(rng, specs)
             n = 5
-            data = make_dataset(
+            data = Dataset(
                 rng.standard_normal((n, specs[0].in_dim)),
                 rng.integers(0, specs[-1].out_dim, n),
                 specs[-1].out_dim,

@@ -299,6 +299,17 @@ class TestExitCodes:
         assert main(["train", str(arch), str(workdir / "train.csv"),
                      "--epochs", "1", "--out", str(workdir / "x.json")]) == 2
 
+    @pytest.mark.parametrize("arch", [
+        [{"in_dim": 8, "out_dim": 10**30, "activation": "relu"},
+         {"in_dim": 10**30, "out_dim": 3, "activation": "identity"}],
+        [{"in_dim": 10**30, "out_dim": 3, "activation": "identity"}],
+    ], ids=["too-wide", "wrong-in-dim"])
+    def test_oversized_arch_is_two(self, workdir, capsys, arch):
+        path = workdir / "huge.json"
+        path.write_text(json.dumps(arch))
+        assert main(["train", str(path), str(workdir / "train.csv"),
+                     "--epochs", "1", "--out", str(workdir / "x.json")]) == 2
+
     @pytest.mark.parametrize("flag, value", [
         ("--batch-size", "0"), ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"),
     ])

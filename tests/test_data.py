@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -5,11 +6,11 @@ import pytest
 
 from helpers import datasets_equal, nearest_centroid_accuracy
 from otfuse.data import (
+    Dataset,
     DomainMixtureConfig,
     concat_datasets,
     gen_synthetic,
     load_dataset_csv,
-    make_dataset,
     save_dataset_csv,
 )
 from otfuse.errors import DataFormatError, ValidationError
@@ -76,15 +77,24 @@ class TestGenSynthetic:
 class TestDatasetValidation:
     def test_label_out_of_range(self):
         with pytest.raises(ValidationError):
-            make_dataset(np.zeros((2, 2)), np.array([0, 5]), 3)
+            Dataset(np.zeros((2, 2)), np.array([0, 5]), 3)
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
-            make_dataset(np.zeros((3, 2)), np.array([0, 1]), 2)
+            Dataset(np.zeros((3, 2)), np.array([0, 1]), 2)
+
+    def test_keeps_read_only_copies_of_its_inputs(self):
+        feats, labels = np.zeros((2, 2), dtype=np.float32), [0, 1]
+        ds = Dataset(feats, labels, np.int64(2))
+        feats[0, 0], labels[0] = 5.0, 1
+        assert np.array_equal(ds.features, np.zeros((2, 2))) and np.array_equal(ds.labels, [0, 1])
+        assert not ds.features.flags.writeable and not ds.labels.flags.writeable
+        assert ds.features.dtype == np.float64 and ds.labels.dtype == np.int64
+        assert type(ds.num_classes) is int
 
     def test_concat_disagreement(self):
-        a = make_dataset(np.zeros((2, 2)), np.array([0, 1]), 2)
-        b = make_dataset(np.zeros((2, 3)), np.array([0, 1]), 2)
+        a = Dataset(np.zeros((2, 2)), np.array([0, 1]), 2)
+        b = Dataset(np.zeros((2, 3)), np.array([0, 1]), 2)
         with pytest.raises(ValidationError):
             concat_datasets(a, b)
 
@@ -92,7 +102,7 @@ class TestDatasetValidation:
 class TestDatasetCsv:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
-        ds = make_dataset(rng.standard_normal((10, 3)), rng.integers(0, 4, 10), 4)
+        ds = Dataset(rng.standard_normal((10, 3)), rng.integers(0, 4, 10), 4)
         path = tmp_path / "d.csv"
         save_dataset_csv(ds, path)
         loaded = load_dataset_csv(path)
@@ -110,6 +120,13 @@ class TestDatasetCsv:
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1,label\n1.0,2.0\n")
         with pytest.raises(DataFormatError):
+            load_dataset_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e400"])
+    def test_non_finite_feature_names_its_line(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n1.0,{value},1\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{path}:3:")):
             load_dataset_csv(path)
 
     def test_non_numeric(self, tmp_path):

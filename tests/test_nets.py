@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import otfuse.experiment as experiment
+import otfuse.nets as nets
 from helpers import checkpoints_equal, forward, random_checkpoint, random_specs
-from otfuse.data import make_dataset, seeded_rng
+from otfuse.data import Dataset, seeded_rng
 from otfuse.errors import ValidationError
 from otfuse.experiment import (
     ExperimentConfig,
@@ -56,7 +57,7 @@ def two_blob_dataset(rng, n_per_class=60, sep=2.0, noise=0.5):
     x1 = rng.normal((sep, 0.0), noise, (n_per_class, 2))
     feats = np.vstack([x0, x1])
     labels = np.array([0] * n_per_class + [1] * n_per_class)
-    return make_dataset(feats, labels, 2)
+    return Dataset(feats, labels, 2)
 
 
 def logistic_regression_accuracy(data, steps=800, lr=0.5):
@@ -85,6 +86,33 @@ class TestSpecValidation:
     def test_unknown_activation(self):
         with pytest.raises(ValidationError):
             validate_spec_chain((LayerSpec(2, 2, "sigmoid"),))
+
+    def test_layer_too_large_for_one_array(self):
+        with pytest.raises(ValidationError, match="too large for one float64 array"):
+            validate_spec_chain((LayerSpec(2, 10**30, "relu"), LayerSpec(10**30, 2, "identity")))
+
+
+class TestCheckpointConstruction:
+    @pytest.mark.parametrize("specs, w, b", [
+        ((LayerSpec(2, 3, "identity"),), np.zeros((3, 3)), np.zeros(3)),
+        ((LayerSpec(2, 3, "identity"),), np.zeros((3, 2)), np.zeros(2)),
+        ((LayerSpec(2, 3, "identity"),), np.full((3, 2), np.nan), np.zeros(3)),
+        ((LayerSpec(2, 3, "identity"),), np.zeros((3, 2)), np.array([0.0, np.inf, 0.0])),
+        ((LayerSpec(2, 3, "relu"),), np.zeros((3, 2)), np.zeros(3)),
+        ((LayerSpec(2, 3, "identity"), LayerSpec(4, 3, "identity")), np.zeros((3, 2)), np.zeros(3)),
+    ], ids=["weight-shape", "bias-shape", "nan-weight", "inf-bias", "relu-logits", "broken-chain"])
+    def test_direct_build_is_validated(self, specs, w, b):
+        with pytest.raises(ValidationError):
+            Checkpoint(specs, tuple(LayerWeights(w, b) for _ in specs))
+
+    def test_keeps_read_only_copies_of_its_inputs(self):
+        w, b = np.ones((3, 2)), np.zeros(3)
+        ckpt = Checkpoint((LayerSpec(2, 3, "identity"),), (LayerWeights(w, b),))
+        w[0, 0], b[0] = 5.0, 5.0
+        layer = ckpt.layers[0]
+        assert np.array_equal(layer.w, np.ones((3, 2))) and np.array_equal(layer.b, np.zeros(3))
+        assert not layer.w.flags.writeable and not layer.b.flags.writeable
+        assert layer.w.dtype == layer.b.dtype == np.float64
 
 
 class TestForward:
@@ -129,7 +157,7 @@ class TestLoss:
             (LayerSpec(2, 2, "identity"),),
             [LayerWeights(100.0 * np.eye(2), np.zeros(2))],
         )
-        data = make_dataset(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]), 2)
+        data = Dataset(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]), 2)
         assert loss(ckpt, data) < 1e-6
 
     def test_uniform_logits_give_log_c_exactly(self):
@@ -139,7 +167,7 @@ class TestLoss:
             [LayerWeights(np.zeros((c, 2)), np.zeros(c))],
         )
         rng = np.random.default_rng(1)
-        data = make_dataset(rng.standard_normal((n, 2)), rng.integers(0, c, n), c)
+        data = Dataset(rng.standard_normal((n, 2)), rng.integers(0, c, n), c)
         assert loss(ckpt, data) == math.log(c)
 
     def test_against_independent_summation_oracle(self):
@@ -148,7 +176,7 @@ class TestLoss:
         ckpt = random_checkpoint(rng, specs)
         c = specs[-1].out_dim
         n = 17
-        data = make_dataset(rng.standard_normal((n, 4)), rng.integers(0, c, n), c)
+        data = Dataset(rng.standard_normal((n, 4)), rng.integers(0, c, n), c)
         expected_terms = []
         for i in range(n):
             z = [float(v) for v in forward(ckpt, data.features[i])]
@@ -158,13 +186,10 @@ class TestLoss:
         assert abs(loss(ckpt, data) - expected) <= 1e-10
 
     def test_empty_dataset_rejected(self):
-        from otfuse.data import Dataset
-
         rng = np.random.default_rng(0)
         ckpt = random_checkpoint(rng, (LayerSpec(2, 2, "identity"),))
-        empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 2)
         with pytest.raises(ValidationError):
-            loss(ckpt, empty)
+            loss(ckpt, Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 2))
 
 
 class TestTrain:
@@ -179,6 +204,15 @@ class TestTrain:
             np.array_equal(a.w, b.w) and np.array_equal(a.b, b.b)
             for a, b in zip(out.layers, ref.layers)
         )
+
+    def test_data_mismatch_rejected_before_weights_exist(self, monkeypatch):
+        def no_init(*args, **kwargs):
+            raise AssertionError("init_checkpoint called")
+
+        monkeypatch.setattr(nets, "init_checkpoint", no_init)
+        data = Dataset(np.zeros((2, 3)), np.array([0, 1]), 2)
+        with pytest.raises(ValidationError, match="feature_dim"):
+            train((LayerSpec(2, 2, "identity"),), data, TrainConfig(epochs=1))
 
     def test_same_seed_bit_identical(self):
         rng = np.random.default_rng(3)
@@ -278,7 +312,7 @@ class TestGradients:
             specs = random_specs(rng, max_layers=3, max_units=8, activation="tanh")
             ckpt = random_checkpoint(rng, specs)
             n = 6
-            data = make_dataset(
+            data = Dataset(
                 rng.standard_normal((n, specs[0].in_dim)),
                 rng.integers(0, specs[-1].out_dim, n),
                 specs[-1].out_dim,
@@ -340,7 +374,7 @@ def reference_sgd(ckpt, data, cfg):
             current = Checkpoint(
                 ckpt.specs, tuple(LayerWeights(w, b) for w, b in zip(ws, bs)), ckpt.meta
             )
-            batch = make_dataset(data.features[idx], data.labels[idx], data.num_classes)
+            batch = Dataset(data.features[idx], data.labels[idx], data.num_classes)
             for i, g in enumerate(loss_gradients(current, batch)):
                 ws[i] -= cfg.learning_rate * g.w
                 bs[i] -= cfg.learning_rate * g.b
@@ -359,7 +393,7 @@ class TestSgdMatchesReference:
     def dataset():
         rng = np.random.default_rng(41)
         n = 50  # batches of 16 leave a short last batch of 2
-        return make_dataset(rng.standard_normal((n, 3)), rng.integers(0, 3, n), 3)
+        return Dataset(rng.standard_normal((n, 3)), rng.integers(0, 3, n), 3)
 
     @pytest.mark.parametrize("shuffle", [True, False])
     def test_train(self, shuffle):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import random_checkpoint
-from otfuse.data import DomainMixtureConfig, gen_synthetic, make_dataset
+from otfuse.data import Dataset, DomainMixtureConfig, gen_synthetic
 from otfuse.errors import DataFormatError, ValidationError
 from otfuse.fusion import direct_average
 from otfuse.nets import LayerSpec, TrainConfig, init_checkpoint, loss, train
@@ -316,7 +316,7 @@ class TestEnsemble:
         rng = np.random.default_rng(7)
         a = random_checkpoint(rng, (LayerSpec(4, 2, "identity"),))
         b = random_checkpoint(rng, (LayerSpec(5, 2, "identity"),))
-        data = make_dataset(np.zeros((2, 4)), np.array([0, 1]), 2)
+        data = Dataset(np.zeros((2, 4)), np.array([0, 1]), 2)
         with pytest.raises(ValidationError):
             ensemble_logits([a, b], data)
 
