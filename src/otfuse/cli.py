@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .data import Dataset, load_dataset_csv
+from .data import load_dataset_csv
 from .errors import DataFormatError, NumericalError, ValidationError
 from .experiment import ExperimentConfig, format_report_csv, format_report_text, run_experiment
 from .fusion import SOLVERS, AlignmentOptions, align, fuse
@@ -96,7 +96,7 @@ def _add_train_flags(p, default_epochs: int) -> None:
 
 def _cmd_train(args) -> int:
     specs = _load_arch(args.arch)
-    data = _load_model_data(specs[-1].out_dim, args.data)
+    data = load_dataset_csv(args.data, specs[-1].out_dim)
     ckpt = train(specs, data, _train_config(args))
     save_checkpoint(ckpt, args.out)
     print(f"trained {len(specs)} layers for {args.epochs} epochs -> {args.out}")
@@ -155,16 +155,9 @@ def _cmd_fuse(args) -> int:
     return 0
 
 
-def _load_model_data(num_classes: int, path) -> Dataset:
-    """Read a dataset whose class count is the model's output width, so a
-    file that lacks the highest class still matches the model."""
-    data = load_dataset_csv(path)
-    return Dataset(data.features, data.labels, num_classes)
-
-
 def _cmd_finetune(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    data = _load_model_data(ckpt.specs[-1].out_dim, args.data)
+    data = load_dataset_csv(args.data, ckpt.specs[-1].out_dim)
     out = finetune(ckpt, data, _train_config(args))
     save_checkpoint(out, args.out)
     print(f"finetuned {args.epochs} epochs -> {args.out}")
@@ -174,7 +167,7 @@ def _cmd_finetune(args) -> int:
 
 def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    data = _load_model_data(ckpt.specs[-1].out_dim, args.data)
+    data = load_dataset_csv(args.data, ckpt.specs[-1].out_dim)
     l, a = loss(ckpt, data), accuracy(ckpt, data)
     if args.format == "csv":
         print("loss,accuracy")
@@ -212,7 +205,7 @@ def _cmd_wer(args) -> int:
 def _cmd_landscape(args) -> int:
     ckpt0 = load_checkpoint(args.ckpt0)
     ckpt1 = load_checkpoint(args.ckpt1)
-    data = _load_model_data(ckpt0.specs[-1].out_dim, args.data)
+    data = load_dataset_csv(args.data, ckpt0.specs[-1].out_dim)
     curve = landscape(ckpt0, ckpt1, data, args.points)
     write_landscape_csv(curve, args.out)
     print(

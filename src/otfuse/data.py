@@ -169,8 +169,9 @@ def read_lines(path) -> list[str]:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
-def load_dataset_csv(path) -> Dataset:
-    """Read a dataset file; num_classes is inferred as max(label) + 1."""
+def load_dataset_csv(path, num_classes: int) -> Dataset:
+    """Read a dataset file whose labels lie in ``[0, num_classes)``; a file
+    that lacks the highest classes still loads."""
     lines = read_lines(path)
     if not lines:
         raise DataFormatError(f"{path}: empty dataset file")
@@ -200,6 +201,4 @@ def load_dataset_csv(path) -> Dataset:
         labels_arr = np.asarray(labels, dtype=np.int64)
     except OverflowError as exc:
         raise DataFormatError(f"{path}: label out of range ({exc})") from exc
-    if labels_arr.min() < 0:
-        raise DataFormatError(f"{path}: negative label")
-    return Dataset(np.asarray(feats), labels_arr, int(labels_arr.max()) + 1)
+    return Dataset(np.asarray(feats), labels_arr, num_classes)

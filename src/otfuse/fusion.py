@@ -8,16 +8,15 @@ included.  ``fuse`` blends the aligned model with B; ``direct_average`` is
 the no-alignment baseline.  The short fine-tuning that completes the recipe
 is ``nets.finetune``, run on the fused model by its caller.
 
-Each map ``T`` is an m x m array, applied as the doubly stochastic matrix
-``m * T``; one within 1e-9/m of a scaled permutation is applied as the exact
-0/1 matrix instead, because ``(1/49) * 49 != 1`` in float64.  So aligning a
-model with itself is the identity and hidden unit permutations are undone
-exactly.
+Each map ``T`` is reported as an m x m array.  An exact or pinned map is
+applied by its assignment, as an index gather, so aligning a model with
+itself is the identity and hidden unit permutations are undone exactly; a
+Sinkhorn map is applied as the doubly stochastic matrix ``m * T``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,13 +26,14 @@ from .nets import (
     Checkpoint,
     CheckpointMeta,
     LayerWeights,
-    interpolate,
+    blend_layers,
+    interpolate,  # unused; perfbench/tracer.py TARGETS binds it here (ROADMAP item 1b)
     make_checkpoint,
     validate_checkpoint,  # unused; perfbench/tracer.py TARGETS binds it here (ROADMAP item 1b)
 )
 from .transport import (
     OtSolution,
-    hard_permutation,
+    hard_permutation,  # unused; perfbench/tracer.py TARGETS binds it here (ROADMAP item 1b)
     identity_map,
     ot_objective,
     solve_exact,
@@ -88,12 +88,6 @@ def _solve_layer(cost: np.ndarray, opts: AlignmentOptions) -> OtSolution:
     return solve_sinkhorn(cost, eps=opts.sinkhorn_eps)
 
 
-def _carrier(t: np.ndarray) -> np.ndarray:
-    """Matrix actually multiplied into the weights for this map."""
-    hard = hard_permutation(t)
-    return hard if hard is not None else t.shape[0] * t
-
-
 def align(model_a: Checkpoint, model_b: Checkpoint, opts: AlignmentOptions = AlignmentOptions()) -> AlignmentResult:
     """Align model A's units onto model B's, layer by layer.
 
@@ -103,7 +97,9 @@ def align(model_a: Checkpoint, model_b: Checkpoint, opts: AlignmentOptions = Ali
     _check_same_architecture(model_a, model_b, "align")
 
     num_layers = len(model_a.specs)
-    prev_carrier: np.ndarray | None = None  # layer 0 input coordinates are shared
+    # the previous layer's map as applied: a source index, or m * T; layer
+    # 0's input coordinates are shared
+    prev = np.arange(model_a.specs[0].in_dim)
     aligned_layers: list[LayerWeights] = []
     maps: list[np.ndarray] = []
     objectives: list[float] = []
@@ -114,7 +110,7 @@ def align(model_a: Checkpoint, model_b: Checkpoint, opts: AlignmentOptions = Ali
         wa, ba = model_a.layers[l].w, model_a.layers[l].b
         wb, bb = model_b.layers[l].w, model_b.layers[l].b
 
-        w_hat = wa if prev_carrier is None else matmul(wa, prev_carrier)
+        w_hat = wa[:, prev] if prev.ndim == 1 else matmul(wa, prev)
 
         cost_rows_a = w_hat if opts.cost_on_aligned_inputs else wa
         if opts.bias_in_cost:
@@ -125,21 +121,22 @@ def align(model_a: Checkpoint, model_b: Checkpoint, opts: AlignmentOptions = Ali
         cost = row_distance_matrix(cost_a, cost_b)
 
         if opts.fix_last_layer and l == num_layers - 1:
-            t = identity_map(spec.out_dim)
+            t, assignment = identity_map(spec.out_dim), np.arange(spec.out_dim)
             objectives.append(ot_objective(t, cost))
             converged.append(True)
         else:
             solution = _solve_layer(cost, opts)
-            t = solution.map
+            t, assignment = solution.map, solution.assignment
             objectives.append(solution.objective)
             converged.append(solution.converged)
         maps.append(t)
 
-        carrier = _carrier(t)
-        w_tilde = matmul(transpose(carrier), w_hat)
-        b_tilde = carrier.T @ ba
-        aligned_layers.append(LayerWeights(w_tilde, b_tilde))
-        prev_carrier = carrier
+        if assignment is not None:
+            prev = np.argsort(assignment)  # B's unit j comes from A's unit prev[j]
+            aligned_layers.append(LayerWeights(w_hat[prev], ba[prev]))
+        else:
+            prev = spec.out_dim * t
+            aligned_layers.append(LayerWeights(matmul(transpose(prev), w_hat), prev.T @ ba))
 
     meta = CheckpointMeta(
         seed=model_a.meta.seed,
@@ -153,8 +150,8 @@ def align(model_a: Checkpoint, model_b: Checkpoint, opts: AlignmentOptions = Ali
 def _blend(a: Checkpoint, b: Checkpoint, lam: float, tag: str) -> Checkpoint:
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"lam must lie in [0, 1], got {lam}")
-    blended = interpolate(a, b, lam)
-    return replace(blended, meta=CheckpointMeta(seed=b.meta.seed, training_epochs=0, tag=tag))
+    meta = CheckpointMeta(seed=b.meta.seed, training_epochs=0, tag=tag)
+    return make_checkpoint(a.specs, blend_layers(a, b, lam), meta)
 
 
 def fuse(aligned_a: Checkpoint, model_b: Checkpoint, lam: float = 0.5) -> Checkpoint:

@@ -309,20 +309,24 @@ def finetune(ckpt: Checkpoint, data: Dataset, cfg: TrainConfig) -> Checkpoint:
     return make_checkpoint(ckpt.specs, [LayerWeights(w, b) for w, b in zip(ws, bs)], meta)
 
 
-def interpolate(ckpt0: Checkpoint, ckpt1: Checkpoint, alpha: float) -> Checkpoint:
-    """Affine blend ``(1 - alpha) * ckpt0 + alpha * ckpt1``, layer by layer."""
+def blend_layers(ckpt0: Checkpoint, ckpt1: Checkpoint, alpha: float) -> list[LayerWeights]:
+    """The layers of ``interpolate``, for callers that set their own meta."""
     if ckpt0.specs != ckpt1.specs:
         raise ValidationError("interpolate requires identical architectures")
-    layers = [
+    return [
         LayerWeights(
             (1.0 - alpha) * l0.w + alpha * l1.w,
             (1.0 - alpha) * l0.b + alpha * l1.b,
         )
         for l0, l1 in zip(ckpt0.layers, ckpt1.layers)
     ]
+
+
+def interpolate(ckpt0: Checkpoint, ckpt1: Checkpoint, alpha: float) -> Checkpoint:
+    """Affine blend ``(1 - alpha) * ckpt0 + alpha * ckpt1``, layer by layer."""
     meta = CheckpointMeta(
         seed=ckpt0.meta.seed,
         training_epochs=0,
         tag=f"blend({ckpt0.meta.tag}|{ckpt1.meta.tag},{alpha:g})",
     )
-    return make_checkpoint(ckpt0.specs, layers, meta)
+    return make_checkpoint(ckpt0.specs, blend_layers(ckpt0, ckpt1, alpha), meta)

@@ -46,6 +46,7 @@ class OtSolution:
     solver: str
     iterations: int
     converged: bool = True
+    assignment: np.ndarray | None = None  # row i's column in a permutation map; None from Sinkhorn
 
 
 def _check_cost(a, name: str = "cost matrix") -> np.ndarray:
@@ -257,7 +258,7 @@ def _permutation_solution(cost: np.ndarray, assign: np.ndarray, solver: str, ite
     t = np.zeros((n, n))
     t[np.arange(n), assign] = 1.0 / n
     t = validate_transport_map(t)
-    return OtSolution(t, ot_objective(t, cost), solver, iterations)
+    return OtSolution(t, ot_objective(t, cost), solver, iterations, assignment=assign)
 
 
 def solve_exact(cost) -> OtSolution:

@@ -105,7 +105,7 @@ class TestDatasetCsv:
         ds = Dataset(rng.standard_normal((10, 3)), rng.integers(0, 4, 10), 4)
         path = tmp_path / "d.csv"
         save_dataset_csv(ds, path)
-        loaded = load_dataset_csv(path)
+        loaded = load_dataset_csv(path, 4)
         assert datasets_equal(ds, loaded)
         header = path.read_text().splitlines()[0]
         assert header == "f0,f1,f2,label"
@@ -114,23 +114,23 @@ class TestDatasetCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,0\n")
         with pytest.raises(DataFormatError):
-            load_dataset_csv(path)
+            load_dataset_csv(path, 2)
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,f1,label\n1.0,2.0\n")
         with pytest.raises(DataFormatError):
-            load_dataset_csv(path)
+            load_dataset_csv(path, 2)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1e400"])
     def test_non_finite_feature_names_its_line(self, tmp_path, value):
         path = tmp_path / "bad.csv"
         path.write_text(f"f0,f1,label\n1.0,2.0,0\n1.0,{value},1\n")
         with pytest.raises(DataFormatError, match=re.escape(f"{path}:3:")):
-            load_dataset_csv(path)
+            load_dataset_csv(path, 2)
 
     def test_non_numeric(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,label\nx,0\n")
         with pytest.raises(DataFormatError):
-            load_dataset_csv(path)
+            load_dataset_csv(path, 2)

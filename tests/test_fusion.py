@@ -11,7 +11,13 @@ from otfuse.fusion import (
     fuse,
 )
 from otfuse.nets import LayerSpec, max_weight_difference
-from otfuse.transport import validate_transport_map
+from otfuse.transport import (
+    brute_force_ot,
+    hard_permutation,
+    solve_exact,
+    solve_sinkhorn,
+    validate_transport_map,
+)
 
 
 def three_layer_specs(in_dim=6, hidden=10, classes=4, activation="relu"):
@@ -96,8 +102,6 @@ class TestAlignmentObjectives:
                 perm = rng.permutation(m)
                 random_obj = cost[np.arange(m), perm].sum() / m
                 assert result.objectives[l] <= random_obj + 1e-12
-            from otfuse.transport import hard_permutation
-
             prev = hard_permutation(tm)
 
     def test_converged_per_layer(self, monkeypatch):
@@ -217,3 +221,50 @@ class TestFuse:
         for out in (align(a, b).aligned, fuse(a, b, 0.5), direct_average(a, b, 0.5)):
             assert out.specs == a.specs
 
+
+
+class TestMapApplication:
+    def test_sinkhorn_map_is_applied_as_reported(self):
+        # self-alignment at width 128 gives couplings within 1e-9/m of the
+        # identity (off the diagonal, about 1e-11/m in each row of the first)
+        # that are not the identity; each is applied as m * T
+        rng = np.random.default_rng(0)
+        m = random_checkpoint(rng, three_layer_specs(in_dim=9, hidden=128))
+        result = align(m, m, AlignmentOptions(solver="sinkhorn"))
+        first = result.maps[0]
+        assert hard_permutation(first) is not None
+        assert not np.array_equal(first, np.eye(128) / 128)
+        prev = np.eye(m.specs[0].in_dim)
+        for layer, aligned, tm in zip(m.layers, result.aligned.layers, result.maps):
+            carrier = len(tm) * tm
+            w_hat = layer.w @ prev
+            want_w, want_b = carrier.T @ w_hat, carrier.T @ layer.b
+            assert np.abs(aligned.w - want_w).max() <= 1e-14 * np.abs(want_w).max()
+            assert np.abs(aligned.b - want_b).max() <= 1e-14 * np.abs(want_b).max()
+            prev = carrier
+
+    def test_exact_map_is_applied_as_its_zero_one_matrix(self):
+        # 49 * (1/49) != 1, so only the 0/1 matrix keeps the weights' bits
+        assert 49 * (1.0 / 49) != 1.0
+        rng = np.random.default_rng(19)
+        a = random_checkpoint(rng, three_layer_specs(hidden=49))
+        b = random_checkpoint(rng, three_layer_specs(hidden=49))
+        result = align(a, b)
+        assert not np.array_equal(result.maps[0], np.eye(49) / 49)
+        prev = np.eye(a.specs[0].in_dim)
+        for layer, aligned, tm in zip(a.layers, result.aligned.layers, result.maps):
+            carrier = (tm > 0).astype(np.float64)
+            w_hat = layer.w @ prev
+            assert np.array_equal(aligned.w, carrier.T @ w_hat)
+            assert np.array_equal(aligned.b, carrier.T @ layer.b)
+            prev = carrier
+
+    def test_assignment_is_the_support_of_the_map(self):
+        rng = np.random.default_rng(20)
+        cost = rng.random((7, 7))
+        cost[:, 3] = cost[:, 5]  # ties between two columns
+        for sol in (solve_exact(cost), brute_force_ot(cost)):
+            rows, cols = np.nonzero(sol.map)
+            assert np.array_equal(rows, np.arange(7))
+            assert np.array_equal(sol.assignment, cols)
+        assert solve_sinkhorn(cost).assignment is None

@@ -17,7 +17,7 @@ from otfuse.serialize import checkpoint_from_dict, load_checkpoint
 
 READERS = {
     "arch": _load_arch,
-    "dataset": load_dataset_csv,
+    "dataset": lambda path: load_dataset_csv(path, 2),
     "checkpoint": load_checkpoint,
     "references": read_references,
     "hypotheses": lambda path: read_hypotheses(path, "system"),
