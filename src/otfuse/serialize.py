@@ -48,7 +48,8 @@ def _decode(text: str, count: int, what: str) -> np.ndarray:
         raise CheckpointFormatError(
             f"{what}: payload holds {len(raw) // 8} values, expected {count}"
         )
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    # read-only over ``raw``; the Checkpoint built from it stores its own copy
+    return np.frombuffer(raw, dtype="<f8")
 
 
 def checkpoint_to_dict(ckpt: Checkpoint) -> dict:

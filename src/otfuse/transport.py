@@ -10,14 +10,18 @@ by 1/m.  ``solve_exact`` finds that vertex with the Jonker-Volgenant
 algorithm (Computing 38, 1987): column reduction and augmenting row
 reduction warm-start the duals and assign most rows, then one Dijkstra
 shortest augmenting path search per row still free completes the
-matching.  It then refines ties to the lexicographically smallest optimal
-assignment by alternating-cycle search, so results are bit-reproducible;
-the whole solve, tie refinement included, is O(m^3).  ``solve_sinkhorn``
-returns the entropic soft coupling from one scaling loop on a kernel that
-log potentials keep in range for any eps; when the sweeps stall near a hard
-assignment, Newton's method on the log potentials (Brauer, Clason, Lorenz &
-Wirth, 2017) finishes the solve in a few steps.  ``brute_force_ot``
-enumerates all m! permutations and exists purely as an oracle.
+matching.  The row reduction runs in rounds in which every free row bids
+at once, as in Bertsekas' auction (Annals of OR 14, 1988).  The solve then
+refines ties to the lexicographically smallest optimal assignment by
+alternating-cycle search, so results are bit-reproducible; columns on no
+alternating cycle are trimmed first, as no other optimal assignment moves
+them.  The whole solve, tie refinement included, is O(m^3).
+``solve_sinkhorn`` returns the entropic soft coupling from one scaling loop
+on a kernel that log potentials keep in range for any eps; when the sweeps
+stall near a hard assignment, Newton's method on the log potentials
+(Brauer, Clason, Lorenz & Wirth, 2017) finishes the solve in a few steps.
+``brute_force_ot`` enumerates all m! permutations and exists purely as an
+oracle.
 """
 
 from __future__ import annotations
@@ -113,21 +117,28 @@ def _jonker_volgenant(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
     1. Column reduction: v_j = min_i c_ij; scanning columns from last to
        first, each column takes its argmin row while that row is free.
-    2. Augmenting row reduction, two passes over the free rows: a row takes
-       the column of its smallest reduced cost c_ij - v_j and lowers that
-       column's v until the cost matches its second smallest, or, when the
-       two tie and the first column is assigned, takes the second column.
-       A row this displaces is retried in the same pass after a strict
-       decrease, else in the next; a pass visits at most 4 m rows, so it
-       cannot cycle.
+    2. Augmenting row reduction in bidding rounds, where every free row
+       bids at once (the Jacobi form of Bertsekas' auction, *The auction
+       algorithm: a distributed relaxation method*, Annals of OR 14, 1988).
+       With h1 <= h2 its two smallest reduced costs c_ij - v_j, a row bids
+       for the column j1 of h1 at v_j1 - (h2 - h1); on a tie it bids the
+       current v, for j1 if j1 is free, else for the column of h2.  Each
+       column that draws bids goes to the lowest, ties to the lowest row;
+       the winner sets v, takes the column and frees the row that held it.
+       Rounds stop when no row is free, or once they have visited 4 m rows
+       in total, so they cannot cycle.
     3. One Dijkstra search on reduced costs per row still free.  Columns
        tied at the minimum end the search at a free column, and the duals
        of the scanned columns are updated once, when the search ends.
 
     Throughout, every assigned row's column minimises c_ij - v_j over j,
     so u_i = c_i,col(i) - v_col(i) completes a feasible dual that is tight
-    on the matching.  Returns (col_for_row, u, v, searches) where
-    ``searches`` counts phase 3's searches.
+    on the matching.  Phase 2 keeps this because v only falls: a winner's
+    column now holds its second smallest reduced cost, still a minimum as
+    every other column's reduced cost only rose, and every other assigned
+    row's reduced cost on its own column is unchanged.  Returns
+    (col_for_row, u, v, searches) where ``searches`` counts phase 3's
+    searches.
     """
     n = cost.shape[0]
     col_for_row = np.full(n, -1, dtype=np.int64)
@@ -137,32 +148,31 @@ def _jonker_volgenant(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     rows, first = np.unique(cost.argmin(axis=0)[::-1], return_index=True)
     col_for_row[rows] = n - 1 - first
     row_for_col[n - 1 - first] = rows
-    free = np.flatnonzero(col_for_row < 0).tolist()
+    free = np.flatnonzero(col_for_row < 0)
 
-    for _ in range(2):
-        stack, free = free[::-1], []
-        for _ in range(4 * n):
-            if not stack:
-                break
-            i = stack.pop()
-            h = cost[i] - v
-            j1 = int(h.argmin())
-            h1 = h[j1]
-            h[j1] = np.inf
-            j2 = int(h.argmin())
-            h2 = h[j2]
-            i0 = int(row_for_col[j1])
-            if h1 < h2:
-                v[j1] -= h2 - h1
-            elif i0 >= 0:
-                j1 = j2
-                i0 = int(row_for_col[j2])
-            col_for_row[i] = j1
-            row_for_col[j1] = i
-            if i0 >= 0:
-                col_for_row[i0] = -1
-                (stack if h1 < h2 else free).append(i0)
-        free.extend(reversed(stack))
+    visits = 0
+    while free.size and visits < 4 * n:
+        visits += free.size
+        rk = np.arange(free.size)
+        h = cost[free] - v
+        j1 = h.argmin(axis=1)
+        h1 = h[rk, j1]
+        h[rk, j1] = np.inf
+        j2 = h.argmin(axis=1)
+        h2 = h[rk, j2]
+        strict = h1 < h2
+        j = np.where(strict | (row_for_col[j1] < 0), j1, j2)
+        bid = np.where(strict, v[j1] - (h2 - h1), v[j])
+        # each column goes to its lowest bid, ties to the lowest row
+        order = np.lexsort((free, bid, j))
+        win = order[np.unique(j[order], return_index=True)[1]]
+        cols, rows = j[win], free[win]
+        v[cols] = bid[win]
+        held = row_for_col[cols]
+        col_for_row[held[held >= 0]] = -1
+        row_for_col[cols] = rows
+        col_for_row[rows] = cols
+        free = np.flatnonzero(col_for_row < 0)
 
     pred = np.empty(n, dtype=np.int64)
     h = np.empty(n)
@@ -215,6 +225,14 @@ def _lex_smallest_assignment(zero: np.ndarray, col_for_row: np.ndarray) -> np.nd
     c' when ``zero[row_of[c], c']``.  One backward search from col[i] finds
     every such j, so each row costs O(m) without a smaller candidate and
     O(m^2) at worst, O(m^3) in total.
+
+    Before the row loop, columns with no in-edge or no out-edge among the
+    columns left are dropped, again and again, until every column left has
+    both.  An edge that touches a dropped column lies on no alternating
+    cycle, so it is in no other perfect matching, whichever one the search
+    starts from (Dulmage-Mendelsohn); those edges leave ``zero`` and the
+    matched ones stay.  Each peel costs O(m) plus O(m) per dropped column, O(m^2) in
+    all, and when no column is left the matching is returned as it is.
     """
     n = zero.shape[0]
     col = np.array(col_for_row, dtype=np.int64)
@@ -222,6 +240,22 @@ def _lex_smallest_assignment(zero: np.ndarray, col_for_row: np.ndarray) -> np.nd
         raise NumericalError("assignment is not inside the zero reduced-cost graph; duals inconsistent")
     row_of = np.empty(n, dtype=np.int64)
     row_of[col] = np.arange(n)
+    # peel the alternating graph down to columns with an in- and an out-edge
+    step = zero[row_of]
+    step[np.arange(n), np.arange(n)] = False
+    outs, ins = step.sum(axis=1), step.sum(axis=0)
+    keep = np.ones(n, dtype=bool)
+    while True:
+        drop = np.flatnonzero(keep & ((outs == 0) | (ins == 0)))
+        if not drop.size:
+            break
+        keep[drop] = False
+        outs -= step[:, drop].sum(axis=1)
+        ins -= step[drop].sum(axis=0)
+    if not keep.any():
+        return col
+    zero = zero & keep[col][:, None] & keep[None, :]
+    zero[np.arange(n), col] = True
     free = np.ones(n, dtype=bool)
     succ = np.empty(n, dtype=np.int64)
     for i in range(n):

@@ -149,17 +149,20 @@ class TestTieRefinement:
             sol = solve_exact(np.zeros((m, m)))
             assert np.array_equal(sol.map, np.eye(m) / m)
         # every assignment of a_i + b_j costs is optimal; rounding breaks
-        # the ties by ulps, and at this draw the row reduction keeps moving
-        # rows until its per-pass visit cap stops it
+        # the ties by ulps, and at this draw the row reduction's bidding
+        # rounds keep moving rows until their cap of 4 m row visits stops them
         rng = np.random.default_rng(2)
         d = rng.uniform(0, 1, 256)[:, None] + rng.uniform(0, 1, 256)[None, :]
         assert np.array_equal(solve_exact(d).map, np.eye(256) / 256)
 
     def test_warm_start_matches_reference_lap(self):
         rng = np.random.default_rng(41)
-        for trial in range(250):
-            m = int(rng.integers(1, 49))
-            kind = trial % 5
+        panel = [(int(rng.integers(1, 49)), trial % 5) for trial in range(250)]
+        # wider draws of the tie-heavy kinds; a_i + b_j only at m = 96, as
+        # the reference is by far slowest on it
+        panel += [(int(rng.integers(64, 257)), kind) for kind in (1, 3, 5, 1, 3, 5)]
+        panel += [(96, 4)]
+        for m, kind in panel:
             if kind == 0:
                 d = rng.uniform(0, 1, (m, m))
             elif kind == 1:
@@ -168,8 +171,14 @@ class TestTieRefinement:
                 d = np.zeros((m, m))
             elif kind == 3:
                 d = rng.uniform(0, 1, (m, m))[rng.integers(0, m, m)]
-            else:
+            elif kind == 4:
                 d = rng.uniform(0, 1, m)[:, None] + rng.uniform(0, 1, m)[None, :]
+            else:
+                # pruned-like: half the rows of A are zero and B permutes A's rows
+                a = rng.standard_normal((m, 6))
+                a[rng.permutation(m)[: m // 2]] = 0.0
+                b = a[rng.permutation(m)]
+                d = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
             tol = 1e-9 * max(1.0, float(d.max()))
             col, u, v, _ = _jonker_volgenant(d)
             reduced = d - u[:, None] - v[None, :]
@@ -184,6 +193,36 @@ class TestTieRefinement:
         zero = np.eye(4, dtype=bool)
         with pytest.raises(NumericalError):
             _lex_smallest_assignment(zero, np.array([1, 0, 2, 3]))
+        # a chain graph trims to no column; the matching check runs first
+        zero = np.eye(5, dtype=bool) | np.eye(5, k=-1, dtype=bool)
+        with pytest.raises(NumericalError):
+            _lex_smallest_assignment(zero, np.array([0, 1, 3, 2, 4]))
+
+    def test_chain_of_tight_edges_keeps_the_matching(self):
+        # row i may also take row i - 1's column, but the alternating graph
+        # is a chain with no cycle, so no row can move
+        m = 9
+        col = np.random.default_rng(3).permutation(m)  # relabels column c as col[c]
+        zero = np.zeros((m, m), dtype=bool)
+        zero[:, col] = np.eye(m, dtype=bool) | np.eye(m, k=-1, dtype=bool)
+        assert np.array_equal(_lex_smallest_assignment(zero, col), col)
+        assert np.array_equal(kuhn_lex_assignment(zero), col)
+
+    def test_cycle_in_one_part_only_matches_kuhn_oracle(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            # columns 0-5 carry a chain and one-way edges into columns 6-11,
+            # which hold a dense tie block around a random matching
+            m, k = 12, 6
+            zero = np.zeros((m, m), dtype=bool)
+            zero[np.arange(k), np.arange(k)] = True
+            zero[np.arange(1, k), np.arange(k - 1)] = True
+            zero[:k, k:] = rng.random((k, m - k)) < 0.3
+            zero[k:, k:] = rng.random((m - k, m - k)) < 0.4
+            col = np.arange(m)
+            col[k:] = k + rng.permutation(m - k)
+            zero[np.arange(m), col] = True
+            assert np.array_equal(_lex_smallest_assignment(zero, col), kuhn_lex_assignment(zero))
 
     @pytest.mark.parametrize("m", [64, 256, 1024])
     def test_objective_matches_scipy(self, m):
