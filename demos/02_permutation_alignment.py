@@ -54,8 +54,8 @@ print(f"\nnaive average of the two: accuracy {accuracy(naive, held_set):.3f} "
 
 result = align(twin, model, AlignmentOptions(solver="exact"))
 print("\nalignment recovered the hidden-unit permutations:")
-for l, (tm, perm) in enumerate(zip(result.maps[:-1], perms)):
-    recovered = np.argmax(tm, axis=1)
+for l, (layer, perm) in enumerate(zip(result.layers[:-1], perms)):
+    recovered = np.argmax(layer.map, axis=1)
     print(f"  layer {l}: recovered == planted permutation: {np.array_equal(recovered, perm)}")
 print(f"aligned twin vs original, max weight difference: "
       f"{max_weight_difference(result.aligned, model):.2e}")

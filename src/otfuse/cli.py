@@ -118,10 +118,10 @@ def _write_maps(result, path) -> None:
     doc = {
         "format_version": 1,
         "maps": [
-            {"side": t.shape[0], "coupling": encode_float64(t)}
-            for t in result.maps
+            {"side": layer.map.shape[0], "coupling": encode_float64(layer.map)}
+            for layer in result.layers
         ],
-        "objectives": list(result.objectives),
+        "objectives": [layer.objective for layer in result.layers],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
@@ -129,17 +129,18 @@ def _write_maps(result, path) -> None:
 
 
 def _cmd_align(args) -> int:
+    opts = _alignment_options(args)
     model_a = load_checkpoint(args.ckpt_a)
     model_b = load_checkpoint(args.ckpt_b)
-    result = align(model_a, model_b, _alignment_options(args))
+    result = align(model_a, model_b, opts)
     save_checkpoint(result.aligned, args.out)
     if args.maps_out:
         _write_maps(result, args.maps_out)
     print(f"{'layer':>5} {'side':>5} {'objective':>14}")
-    for i, (t, obj) in enumerate(zip(result.maps, result.objectives)):
-        print(f"{i:>5} {t.shape[0]:>5} {_fmt(obj):>14}")
-    for i, ok in enumerate(result.converged):
-        if not ok:
+    for i, layer in enumerate(result.layers):
+        print(f"{i:>5} {layer.map.shape[0]:>5} {_fmt(layer.objective):>14}")
+    for i, layer in enumerate(result.layers):
+        if not layer.converged:
             print(f"warning: layer {i}: Sinkhorn did not converge; using its rounded last iterate",
                   file=sys.stderr)
     print(f"aligned checkpoint -> {args.out}")

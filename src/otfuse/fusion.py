@@ -27,6 +27,7 @@ from .nets import (
     CheckpointMeta,
     LayerWeights,
     blend_layers,
+    check_same_specs,
     interpolate,  # unused; perfbench/tracer.py TARGETS binds it here (ROADMAP item 1b)
     make_checkpoint,
     validate_checkpoint,  # unused; perfbench/tracer.py TARGETS binds it here (ROADMAP item 1b)
@@ -63,26 +64,27 @@ class AlignmentOptions:
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise ValidationError(f"unknown solver {self.solver!r}; expected one of {SOLVERS}")
+        if self.sinkhorn_eps is not None and self.solver != "sinkhorn":
+            raise ValidationError(
+                f"sinkhorn_eps applies to the sinkhorn solver only, not to {self.solver!r}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
 class AlignmentResult:
-    """Aligned copy of model A, one transport map per layer, the per-layer
-    transport objectives, and whether each layer's solver converged (exact
-    and pinned layers always do)."""
+    """Aligned copy of model A and each layer's transport solution, in layer
+    order.  A pinned output layer is ``solver == "pinned"``: the identity
+    map, which always converges."""
 
     aligned: Checkpoint
-    maps: tuple[np.ndarray, ...]
-    objectives: tuple[float, ...]
-    converged: tuple[bool, ...]
+    layers: tuple[OtSolution, ...]
 
 
-def _check_same_architecture(a: Checkpoint, b: Checkpoint, op: str) -> None:
-    if a.specs != b.specs:
-        raise ValidationError(f"{op} requires identical layer specs: {a.specs} vs {b.specs}")
-
-
-def _solve_layer(cost: np.ndarray, opts: AlignmentOptions) -> OtSolution:
+def _solve_layer(cost: np.ndarray, opts: AlignmentOptions, pinned: bool) -> OtSolution:
+    if pinned:
+        m = cost.shape[0]
+        t = identity_map(m)
+        return OtSolution(t, ot_objective(t, cost), "pinned", 0, assignment=np.arange(m))
     if opts.solver == "exact":
         return solve_exact(cost)
     return solve_sinkhorn(cost, eps=opts.sinkhorn_eps)
@@ -94,16 +96,14 @@ def align(model_a: Checkpoint, model_b: Checkpoint, opts: AlignmentOptions = Ali
     Model B is kept fixed; the returned checkpoint is A expressed in B's
     unit ordering, suitable for elementwise averaging with B.
     """
-    _check_same_architecture(model_a, model_b, "align")
+    check_same_specs(model_a, model_b, "align")
 
     num_layers = len(model_a.specs)
     # the previous layer's map as applied: a source index, or m * T; layer
     # 0's input coordinates are shared
     prev = np.arange(model_a.specs[0].in_dim)
     aligned_layers: list[LayerWeights] = []
-    maps: list[np.ndarray] = []
-    objectives: list[float] = []
-    converged: list[bool] = []
+    layers: list[OtSolution] = []
 
     for l in range(num_layers):
         spec = model_a.specs[l]
@@ -120,22 +120,14 @@ def align(model_a: Checkpoint, model_b: Checkpoint, opts: AlignmentOptions = Ali
             cost_a, cost_b = cost_rows_a, wb
         cost = row_distance_matrix(cost_a, cost_b)
 
-        if opts.fix_last_layer and l == num_layers - 1:
-            t, assignment = identity_map(spec.out_dim), np.arange(spec.out_dim)
-            objectives.append(ot_objective(t, cost))
-            converged.append(True)
-        else:
-            solution = _solve_layer(cost, opts)
-            t, assignment = solution.map, solution.assignment
-            objectives.append(solution.objective)
-            converged.append(solution.converged)
-        maps.append(t)
+        solution = _solve_layer(cost, opts, opts.fix_last_layer and l == num_layers - 1)
+        layers.append(solution)
 
-        if assignment is not None:
-            prev = np.argsort(assignment)  # B's unit j comes from A's unit prev[j]
+        if solution.assignment is not None:
+            prev = np.argsort(solution.assignment)  # B's unit j comes from A's unit prev[j]
             aligned_layers.append(LayerWeights(w_hat[prev], ba[prev]))
         else:
-            prev = spec.out_dim * t
+            prev = spec.out_dim * solution.map
             aligned_layers.append(LayerWeights(matmul(transpose(prev), w_hat), prev.T @ ba))
 
     meta = CheckpointMeta(
@@ -144,7 +136,7 @@ def align(model_a: Checkpoint, model_b: Checkpoint, opts: AlignmentOptions = Ali
         tag="aligned",
     )
     aligned = make_checkpoint(model_a.specs, aligned_layers, meta)
-    return AlignmentResult(aligned, tuple(maps), tuple(objectives), tuple(converged))
+    return AlignmentResult(aligned, tuple(layers))
 
 
 def _blend(a: Checkpoint, b: Checkpoint, lam: float, tag: str) -> Checkpoint:
@@ -156,11 +148,11 @@ def _blend(a: Checkpoint, b: Checkpoint, lam: float, tag: str) -> Checkpoint:
 
 def fuse(aligned_a: Checkpoint, model_b: Checkpoint, lam: float = 0.5) -> Checkpoint:
     """Per-layer blend ``(1 - lam) * aligned_a + lam * model_b``."""
-    _check_same_architecture(aligned_a, model_b, "fuse")
+    check_same_specs(aligned_a, model_b, "fuse")
     return _blend(aligned_a, model_b, lam, "fused")
 
 
 def direct_average(model_a: Checkpoint, model_b: Checkpoint, lam: float = 0.5) -> Checkpoint:
     """Elementwise parameter average with no alignment; the failing baseline."""
-    _check_same_architecture(model_a, model_b, "direct_average")
+    check_same_specs(model_a, model_b, "direct_average")
     return _blend(model_a, model_b, lam, "direct-average")

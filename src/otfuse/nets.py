@@ -136,10 +136,15 @@ def make_checkpoint(specs, layers, meta: CheckpointMeta = CheckpointMeta()) -> C
     return Checkpoint(specs, layers, meta)
 
 
+def check_same_specs(a: Checkpoint, b: Checkpoint, op: str) -> None:
+    """The one architecture check of an operation on two checkpoints."""
+    if a.specs != b.specs:
+        raise ValidationError(f"{op} requires identical layer specs: {a.specs} vs {b.specs}")
+
+
 def max_weight_difference(a: Checkpoint, b: Checkpoint) -> float:
     """Largest absolute difference over all weights and biases."""
-    if a.specs != b.specs:
-        raise ValidationError("checkpoints have different architectures")
+    check_same_specs(a, b, "max_weight_difference")
     diffs = [
         max(np.abs(la.w - lb.w).max(), np.abs(la.b - lb.b).max())
         for la, lb in zip(a.layers, b.layers)
@@ -199,7 +204,7 @@ def accuracy_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(pred == np.asarray(labels)))
 
 
-def _check_model_data(specs: tuple[LayerSpec, ...], data: Dataset) -> None:
+def check_model_data(specs: tuple[LayerSpec, ...], data: Dataset) -> None:
     if data.features.shape[1] != specs[0].in_dim:
         raise ValidationError(
             f"dataset feature_dim {data.features.shape[1]} does not match "
@@ -214,13 +219,13 @@ def _check_model_data(specs: tuple[LayerSpec, ...], data: Dataset) -> None:
 
 def loss(ckpt: Checkpoint, data: Dataset) -> float:
     """Mean cross-entropy of the model on the dataset."""
-    _check_model_data(ckpt.specs, data)
+    check_model_data(ckpt.specs, data)
     return cross_entropy_from_logits(forward_batch(ckpt, data.features), data.labels)
 
 
 def accuracy(ckpt: Checkpoint, data: Dataset) -> float:
     """Fraction of samples whose argmax logit equals the label."""
-    _check_model_data(ckpt.specs, data)
+    check_model_data(ckpt.specs, data)
     return accuracy_from_logits(forward_batch(ckpt, data.features), data.labels)
 
 
@@ -262,7 +267,7 @@ def loss_gradients(ckpt: Checkpoint, data: Dataset) -> list[LayerWeights]:
 
     Returned as one ``LayerWeights`` of gradients per layer, in layer order.
     """
-    _check_model_data(ckpt.specs, data)
+    check_model_data(ckpt.specs, data)
     grads = _backprop(
         ckpt.specs,
         [layer.w for layer in ckpt.layers],
@@ -276,14 +281,14 @@ def loss_gradients(ckpt: Checkpoint, data: Dataset) -> list[LayerWeights]:
 def train(specs, data: Dataset, cfg: TrainConfig) -> Checkpoint:
     """Minibatch SGD from a seeded initialization; deterministic in cfg.seed."""
     specs = validate_spec_chain(specs)
-    _check_model_data(specs, data)  # before init_checkpoint allocates the weights
+    check_model_data(specs, data)  # before init_checkpoint allocates the weights
     return finetune(init_checkpoint(specs, cfg.seed, tag="trained"), data, cfg)
 
 
 def finetune(ckpt: Checkpoint, data: Dataset, cfg: TrainConfig) -> Checkpoint:
     """Continue minibatch SGD from an existing checkpoint for ``cfg.epochs``
     epochs; deterministic in cfg.seed."""
-    _check_model_data(ckpt.specs, data)
+    check_model_data(ckpt.specs, data)
     if cfg.epochs == 0:
         return ckpt
     rng = seeded_rng(cfg.seed)
@@ -310,9 +315,8 @@ def finetune(ckpt: Checkpoint, data: Dataset, cfg: TrainConfig) -> Checkpoint:
 
 
 def blend_layers(ckpt0: Checkpoint, ckpt1: Checkpoint, alpha: float) -> list[LayerWeights]:
-    """The layers of ``interpolate``, for callers that set their own meta."""
-    if ckpt0.specs != ckpt1.specs:
-        raise ValidationError("interpolate requires identical architectures")
+    """The layers of ``interpolate``, for callers that set their own meta and
+    have checked that the specs match."""
     return [
         LayerWeights(
             (1.0 - alpha) * l0.w + alpha * l1.w,
@@ -324,6 +328,7 @@ def blend_layers(ckpt0: Checkpoint, ckpt1: Checkpoint, alpha: float) -> list[Lay
 
 def interpolate(ckpt0: Checkpoint, ckpt1: Checkpoint, alpha: float) -> Checkpoint:
     """Affine blend ``(1 - alpha) * ckpt0 + alpha * ckpt1``, layer by layer."""
+    check_same_specs(ckpt0, ckpt1, "interpolate")
     meta = CheckpointMeta(
         seed=ckpt0.meta.seed,
         training_epochs=0,

@@ -19,6 +19,7 @@ from .errors import DataFormatError, ValidationError
 from .nets import (
     Checkpoint,
     accuracy_from_logits,
+    check_model_data,
     cross_entropy_from_logits,
     forward_batch,
     interpolate,
@@ -188,17 +189,8 @@ def ensemble_logits(models: Sequence[Checkpoint], data: Dataset) -> EnsembleMetr
     """Classify by the unweighted mean of the models' output logits."""
     if not models:
         raise ValidationError("need at least one model")
-    in_dims = {m.specs[0].in_dim for m in models}
-    out_dims = {m.specs[-1].out_dim for m in models}
-    if len(in_dims) != 1 or len(out_dims) != 1:
-        raise ValidationError(
-            f"models disagree on feature/class dims: in {in_dims}, out {out_dims}"
-        )
-    if data.num_classes != next(iter(out_dims)):
-        raise ValidationError(
-            f"dataset num_classes {data.num_classes} does not match model "
-            f"out_dim {next(iter(out_dims))}"
-        )
+    for m in models:
+        check_model_data(m.specs, data)
     stacked = np.stack([forward_batch(m, data.features) for m in models])
     mean_logits = stacked.mean(axis=0)
     return EnsembleMetrics(
@@ -215,8 +207,6 @@ def landscape(theta0: Checkpoint, theta: Checkpoint, data: Dataset, num_points: 
     """
     if num_points < 2:
         raise ValidationError("num_points must be >= 2")
-    if theta0.specs != theta.specs:
-        raise ValidationError("landscape endpoints have different architectures")
     alphas = np.linspace(0.0, 1.0, num_points)
     losses = np.array(
         [loss(interpolate(theta0, theta, float(a)), data) for a in alphas]
@@ -228,7 +218,9 @@ def landscape(theta0: Checkpoint, theta: Checkpoint, data: Dataset, num_points: 
 
 
 def _split_tokens(field: str) -> tuple[str, ...]:
-    return tuple(field.split(" ")) if field else ()
+    """Space-separated fields, dropping the empty ones that repeated,
+    leading or trailing spaces leave."""
+    return tuple(t for t in field.split(" ") if t)
 
 
 def _read_tsv(path, layout: str, max_fields: int, what: str) -> dict[str, tuple[str, list[str]]]:
@@ -271,7 +263,7 @@ def read_hypotheses(path, system_name: str) -> HypothesisSet:
         confidences = None
         if len(fields) == 2:
             try:
-                confidences = tuple(float(c) for c in fields[1].split(" ") if c)
+                confidences = tuple(float(c) for c in _split_tokens(fields[1]))
             except ValueError as exc:
                 raise DataFormatError(f"{where}: bad confidence ({exc})") from exc
             if len(confidences) != len(tokens):

@@ -137,8 +137,8 @@ def test_criterion_05_permutation_recovery():
         perms = [rng.permutation(16), rng.permutation(16)]
         twin = permuted_twin(original, perms)
         result = align(twin, original)
-        for tm, perm in zip(result.maps[:-1], perms):
-            assert np.array_equal(tm, permutation_matrix(perm) / 16)
+        for layer, perm in zip(result.layers[:-1], perms):
+            assert np.array_equal(layer.map, permutation_matrix(perm) / 16)
         for _ in range(100):
             x = rng.standard_normal(8)
             assert np.abs(forward(result.aligned, x) - forward(original, x)).max() <= 1e-9

@@ -1,3 +1,4 @@
+import base64
 import functools
 import json
 
@@ -127,11 +128,35 @@ def test_align_warns_on_unconverged_layers(workdir, capsys, monkeypatch):
     # one sweep cannot converge layer 0; the pinned output layer counts as converged
     monkeypatch.setattr(fusion, "solve_sinkhorn", functools.partial(transport.solve_sinkhorn, max_iter=1))
     result = align(load_checkpoint(m1), load_checkpoint(m2), AlignmentOptions(solver="sinkhorn"))
-    assert result.converged == (False, True)
+    assert [layer.converged for layer in result.layers] == [False, True]
     assert main(argv) == 0
     out, err = capsys.readouterr()
     assert "warning" not in out
     assert [line.split(":")[0:2] for line in err.splitlines()] == [["warning", " layer 0"]]
+
+
+@pytest.mark.parametrize("flags, opts", [
+    ([], AlignmentOptions()),
+    (["--solver", "sinkhorn"], AlignmentOptions(solver="sinkhorn")),
+    (["--free-last-layer"], AlignmentOptions(fix_last_layer=False)),
+])
+def test_maps_out_holds_each_layer_record(workdir, capsys, flags, opts):
+    for seed, name in ((1, "m1.json"), (2, "m2.json")):
+        main([
+            "train", str(workdir / "arch.json"), str(workdir / "train.csv"),
+            "--epochs", "2", "--seed", str(seed), "--out", str(workdir / name),
+        ])
+    m1, m2, maps = workdir / "m1.json", workdir / "m2.json", workdir / "maps.json"
+    assert main(["align", str(m1), str(m2), "--out", str(workdir / "a.json"),
+                 "--maps-out", str(maps), *flags]) == 0
+    result = align(load_checkpoint(m1), load_checkpoint(m2), opts)
+    doc = json.loads(maps.read_text())
+    assert len(doc["maps"]) == len(doc["objectives"]) == len(result.layers)
+    for entry, objective, layer in zip(doc["maps"], doc["objectives"], result.layers):
+        coupling = np.frombuffer(base64.b64decode(entry["coupling"]), dtype="<f8")
+        assert coupling.tobytes() == layer.map.tobytes()
+        assert entry["side"] == layer.map.shape[0]
+        assert objective == layer.objective
 
 
 def test_landscape_command(workdir, capsys):
@@ -159,6 +184,19 @@ def test_wer_command_identical_is_zero(workdir, capsys):
     out = capsys.readouterr().out
     assert "system_a" in out and "0.0%" in out
     assert "oracle" in out
+
+
+def test_wer_command_ignores_repeated_and_trailing_spaces(workdir, capsys):
+    refs = workdir / "refs.txt"
+    refs.write_text("u1\thello  world\n")
+    hyp = workdir / "sys.txt"
+    hyp.write_text("u1\thello world \t0.9 0.8\n")
+    assert main(["wer", str(refs), str(hyp), "--format", "csv"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "system,wer_percent"
+    assert dict(line.split(",") for line in out[1:]) == {
+        "sys": "0.0", "oracle": "0.0", "confidence": "0.0",
+    }
 
 
 def test_wer_command_with_confidences_csv(workdir, capsys):
@@ -339,6 +377,16 @@ class TestExitCodes:
         assert main(["align", ckpt, ckpt, "--solver", "sinkhorn", "--eps", eps,
                      "--out", str(workdir / "x.json")]) == 2
         assert "eps must be finite and positive" in capsys.readouterr().err
+
+    def test_eps_without_the_sinkhorn_solver_is_two(self, workdir, capsys):
+        ckpt = str(workdir / "model.json")
+        assert main(["train", str(workdir / "arch.json"), str(workdir / "train.csv"),
+                     "--epochs", "1", "--out", ckpt]) == 0
+        capsys.readouterr()
+        out = workdir / "x.json"
+        assert main(["align", ckpt, ckpt, "--eps", "0.05", "--out", str(out)]) == 2
+        assert "sinkhorn_eps" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_wer_duplicate_system_names_is_two(self, workdir, capsys):
         refs = workdir / "refs.txt"

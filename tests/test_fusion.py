@@ -33,10 +33,10 @@ class TestSelfAlignment:
         rng = np.random.default_rng(0)
         m = random_checkpoint(rng, three_layer_specs())
         result = align(m, m)
-        for tm in result.maps:
-            assert np.array_equal(tm, np.eye(len(tm)) / len(tm))
+        for layer in result.layers:
+            assert np.array_equal(layer.map, np.eye(len(layer.map)) / len(layer.map))
         assert max_weight_difference(result.aligned, m) <= 1e-12
-        assert all(obj == 0.0 for obj in result.objectives)
+        assert all(layer.objective == 0.0 for layer in result.layers)
 
     def test_self_fusion_is_bit_exact(self):
         rng = np.random.default_rng(1)
@@ -56,8 +56,8 @@ class TestPermutationRecovery:
         perms = [rng.permutation(16), rng.permutation(16)]
         twin = permuted_twin(original, perms)
         result = align(twin, original)
-        for tm, perm in zip(result.maps[:-1], perms):
-            assert np.array_equal(tm, permutation_matrix(perm) / 16)
+        for layer, perm in zip(result.layers[:-1], perms):
+            assert np.array_equal(layer.map, permutation_matrix(perm) / 16)
         assert max_weight_difference(result.aligned, original) <= 1e-9
         for _ in range(20):
             x = rng.standard_normal(6)
@@ -81,8 +81,8 @@ class TestPermutationRecovery:
         twin = permuted_twin(original, perms)
         opts = AlignmentOptions(solver="sinkhorn", sinkhorn_eps=1e-3)
         result = align(twin, original, opts)
-        for tm, perm in zip(result.maps[:-1], perms):
-            assert np.abs(tm - permutation_matrix(perm) / 8).max() <= 1e-3
+        for layer, perm in zip(result.layers[:-1], perms):
+            assert np.abs(layer.map - permutation_matrix(perm) / 8).max() <= 1e-3
         assert max_weight_difference(result.aligned, original) <= 1e-2
 
 
@@ -94,19 +94,19 @@ class TestAlignmentObjectives:
         from otfuse.linalg import matmul, row_distance_matrix
 
         prev = np.eye(a.specs[0].in_dim)
-        for l, tm in enumerate(result.maps[:-1]):
+        for l, layer in enumerate(result.layers[:-1]):
             w_hat = matmul(a.layers[l].w, prev)
             cost = row_distance_matrix(w_hat, b.layers[l].w)
             m = cost.shape[0]
             for _ in range(1000):
                 perm = rng.permutation(m)
                 random_obj = cost[np.arange(m), perm].sum() / m
-                assert result.objectives[l] <= random_obj + 1e-12
-            prev = hard_permutation(tm)
+                assert layer.objective <= random_obj + 1e-12
+            prev = hard_permutation(layer.map)
 
     def test_converged_per_layer(self, monkeypatch):
         a, b, _ = trained_pair(seed=2)
-        assert align(a, b).converged == (True, True, True)
+        assert [layer.converged for layer in align(a, b).layers] == [True, True, True]
         # at the default eps both hidden layers converge, where the sweeps
         # alone run all 10000 without; the pinned output layer counts as
         # converged
@@ -114,17 +114,17 @@ class TestAlignmentObjectives:
         solve = fusion.solve_sinkhorn
         monkeypatch.setattr(fusion, "solve_sinkhorn", lambda *a, **k: solved.append(solve(*a, **k)) or solved[-1])
         soft = align(a, b, AlignmentOptions(solver="sinkhorn"))
-        assert soft.converged == (True, True, True)
+        assert [layer.converged for layer in soft.layers] == [True, True, True]
         assert len(solved) == 2 and max(sol.iterations for sol in solved) < 1000
         loose = align(a, b, AlignmentOptions(solver="sinkhorn", sinkhorn_eps=0.1))
-        assert loose.converged == (True, True, True)
+        assert [layer.converged for layer in loose.layers] == [True, True, True]
 
     def test_maps_satisfy_marginals(self):
         a, b, _ = trained_pair(seed=2)
         for solver in ("exact", "sinkhorn"):
             result = align(a, b, AlignmentOptions(solver=solver))
-            for tm in result.maps:
-                validate_transport_map(tm)
+            for layer in result.layers:
+                validate_transport_map(layer.map)
 
     def test_hard_alignment_preserves_model_function(self):
         # exact maps are permutations, and permuting hidden units (applied
@@ -145,7 +145,7 @@ class TestAlignmentFlags:
         twin = permuted_twin(original, perms)
         opts = AlignmentOptions(cost_on_aligned_inputs=False)
         result = align(twin, original, opts)
-        assert np.array_equal(result.maps[0], permutation_matrix(perms[0]) / 9)
+        assert np.array_equal(result.layers[0].map, permutation_matrix(perms[0]) / 9)
 
     def test_bias_in_cost_runs_and_preserves_recovery(self):
         rng = np.random.default_rng(10)
@@ -159,7 +159,7 @@ class TestAlignmentFlags:
         rng = np.random.default_rng(11)
         m = random_checkpoint(rng, three_layer_specs())
         result = align(m, m, AlignmentOptions(fix_last_layer=False))
-        last = result.maps[-1]
+        last = result.layers[-1].map
         assert np.array_equal(last, np.eye(len(last)) / len(last))
 
     def test_spec_mismatch_rejected(self):
@@ -168,6 +168,23 @@ class TestAlignmentFlags:
         b = random_checkpoint(rng, three_layer_specs(hidden=9))
         with pytest.raises(ValidationError):
             align(a, b)
+
+    def test_sinkhorn_eps_needs_the_sinkhorn_solver(self):
+        for opts in ({}, {"solver": "exact"}):
+            with pytest.raises(ValidationError, match="sinkhorn_eps"):
+                AlignmentOptions(sinkhorn_eps=0.05, **opts)
+        assert AlignmentOptions(solver="sinkhorn", sinkhorn_eps=0.05).sinkhorn_eps == 0.05
+
+    @pytest.mark.parametrize("solver", ["exact", "sinkhorn"])
+    def test_pinned_output_layer_is_its_own_record(self, solver):
+        rng = np.random.default_rng(13)
+        specs = three_layer_specs(hidden=8)
+        a, b = random_checkpoint(rng, specs), random_checkpoint(rng, specs)
+        pinned = align(a, b, AlignmentOptions(solver=solver)).layers[-1]
+        m = specs[-1].out_dim
+        assert (pinned.solver, pinned.iterations, pinned.converged) == ("pinned", 0, True)
+        assert np.array_equal(pinned.assignment, np.arange(m))
+        assert pinned.map.tobytes() == (np.eye(m) / m).tobytes()
 
 
 class TestFuse:
@@ -231,12 +248,12 @@ class TestMapApplication:
         rng = np.random.default_rng(0)
         m = random_checkpoint(rng, three_layer_specs(in_dim=9, hidden=128))
         result = align(m, m, AlignmentOptions(solver="sinkhorn"))
-        first = result.maps[0]
+        first = result.layers[0].map
         assert hard_permutation(first) is not None
         assert not np.array_equal(first, np.eye(128) / 128)
         prev = np.eye(m.specs[0].in_dim)
-        for layer, aligned, tm in zip(m.layers, result.aligned.layers, result.maps):
-            carrier = len(tm) * tm
+        for layer, aligned, solution in zip(m.layers, result.aligned.layers, result.layers):
+            carrier = len(solution.map) * solution.map
             w_hat = layer.w @ prev
             want_w, want_b = carrier.T @ w_hat, carrier.T @ layer.b
             assert np.abs(aligned.w - want_w).max() <= 1e-14 * np.abs(want_w).max()
@@ -250,10 +267,10 @@ class TestMapApplication:
         a = random_checkpoint(rng, three_layer_specs(hidden=49))
         b = random_checkpoint(rng, three_layer_specs(hidden=49))
         result = align(a, b)
-        assert not np.array_equal(result.maps[0], np.eye(49) / 49)
+        assert not np.array_equal(result.layers[0].map, np.eye(49) / 49)
         prev = np.eye(a.specs[0].in_dim)
-        for layer, aligned, tm in zip(a.layers, result.aligned.layers, result.maps):
-            carrier = (tm > 0).astype(np.float64)
+        for layer, aligned, solution in zip(a.layers, result.aligned.layers, result.layers):
+            carrier = (solution.map > 0).astype(np.float64)
             w_hat = layer.w @ prev
             assert np.array_equal(aligned.w, carrier.T @ w_hat)
             assert np.array_equal(aligned.b, carrier.T @ layer.b)

@@ -377,6 +377,19 @@ class TestFileFormats:
         assert hs.items["u1"].confidences == (0.9, 0.8, 0.7)
         assert error_rate(refs, hs) == 0.0
 
+    def test_repeated_and_trailing_spaces_make_no_tokens(self, tmp_path):
+        ref_path = tmp_path / "refs.txt"
+        ref_path.write_text("u1\thello  world\n")
+        refs = read_references(ref_path)
+        assert refs == {"u1": ("hello", "world")}
+
+        hyp_path = tmp_path / "hyps.txt"
+        hyp_path.write_text("u1\t hello world \t0.9 0.8\n")
+        hs = read_hypotheses(hyp_path, "sys")
+        assert hs.items["u1"].tokens == ("hello", "world")
+        assert hs.items["u1"].confidences == (0.9, 0.8)
+        assert error_rate(refs, hs) == 0.0
+
     def test_empty_hypothesis_line(self, tmp_path):
         p = tmp_path / "h.txt"
         p.write_text("u1\t\n")
