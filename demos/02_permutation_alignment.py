@@ -55,8 +55,7 @@ print(f"\nnaive average of the two: accuracy {accuracy(naive, held_set):.3f} "
 result = align(twin, model, AlignmentOptions(solver="exact"))
 print("\nalignment recovered the hidden-unit permutations:")
 for l, (layer, perm) in enumerate(zip(result.layers[:-1], perms)):
-    recovered = np.argmax(layer.map, axis=1)
-    print(f"  layer {l}: recovered == planted permutation: {np.array_equal(recovered, perm)}")
+    print(f"  layer {l}: recovered == planted permutation: {np.array_equal(layer.assignment, perm)}")
 print(f"aligned twin vs original, max weight difference: "
       f"{max_weight_difference(result.aligned, model):.2e}")
 

@@ -118,7 +118,7 @@ def _write_maps(result, path) -> None:
     doc = {
         "format_version": 1,
         "maps": [
-            {"side": layer.map.shape[0], "coupling": encode_float64(layer.map)}
+            {"side": layer.side, "coupling": encode_float64(layer.map)}
             for layer in result.layers
         ],
         "objectives": [layer.objective for layer in result.layers],
@@ -138,7 +138,7 @@ def _cmd_align(args) -> int:
         _write_maps(result, args.maps_out)
     print(f"{'layer':>5} {'side':>5} {'objective':>14}")
     for i, layer in enumerate(result.layers):
-        print(f"{i:>5} {layer.map.shape[0]:>5} {_fmt(layer.objective):>14}")
+        print(f"{i:>5} {layer.side:>5} {_fmt(layer.objective):>14}")
     for i, layer in enumerate(result.layers):
         if not layer.converged:
             print(f"warning: layer {i}: Sinkhorn did not converge; using its rounded last iterate",

@@ -8,10 +8,11 @@ included.  ``fuse`` blends the aligned model with B; ``direct_average`` is
 the no-alignment baseline.  The short fine-tuning that completes the recipe
 is ``nets.finetune``, run on the fused model by its caller.
 
-Each map ``T`` is reported as an m x m array.  An exact or pinned map is
-applied by its assignment, as an index gather, so aligning a model with
+Each layer's map is an ``OtSolution``.  An exact or pinned layer is its
+assignment alone, applied as an index gather, so aligning a model with
 itself is the identity and hidden unit permutations are undone exactly; a
-Sinkhorn map is applied as the doubly stochastic matrix ``m * T``.
+Sinkhorn layer keeps its m x m coupling ``T``, applied as the doubly
+stochastic matrix ``m * T``.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from .nets import (
 from .transport import (
     OtSolution,
     hard_permutation,  # unused; perfbench/tracer.py TARGETS binds it here (ROADMAP item 1b)
-    identity_map,
-    ot_objective,
+    identity_map,  # unused; perfbench/tracer.py TARGETS binds it here (ROADMAP item 1b)
+    ot_objective,  # unused; perfbench/tracer.py TARGETS binds it here (ROADMAP item 1b)
+    permutation_solution,
     solve_exact,
     solve_sinkhorn,
 )
@@ -64,10 +66,13 @@ class AlignmentOptions:
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise ValidationError(f"unknown solver {self.solver!r}; expected one of {SOLVERS}")
-        if self.sinkhorn_eps is not None and self.solver != "sinkhorn":
+        eps = self.sinkhorn_eps
+        if eps is not None and self.solver != "sinkhorn":
             raise ValidationError(
                 f"sinkhorn_eps applies to the sinkhorn solver only, not to {self.solver!r}"
             )
+        if eps is not None and not (np.isfinite(eps) and eps > 0):
+            raise ValidationError(f"sinkhorn_eps must be finite and positive, got {eps}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,9 +87,7 @@ class AlignmentResult:
 
 def _solve_layer(cost: np.ndarray, opts: AlignmentOptions, pinned: bool) -> OtSolution:
     if pinned:
-        m = cost.shape[0]
-        t = identity_map(m)
-        return OtSolution(t, ot_objective(t, cost), "pinned", 0, assignment=np.arange(m))
+        return permutation_solution(cost, np.arange(cost.shape[0]), "pinned", 0)
     if opts.solver == "exact":
         return solve_exact(cost)
     return solve_sinkhorn(cost, eps=opts.sinkhorn_eps)
@@ -127,7 +130,7 @@ def align(model_a: Checkpoint, model_b: Checkpoint, opts: AlignmentOptions = Ali
             prev = np.argsort(solution.assignment)  # B's unit j comes from A's unit prev[j]
             aligned_layers.append(LayerWeights(w_hat[prev], ba[prev]))
         else:
-            prev = spec.out_dim * solution.map
+            prev = spec.out_dim * solution.coupling
             aligned_layers.append(LayerWeights(matmul(transpose(prev), w_hat), prev.T @ ba))
 
     meta = CheckpointMeta(

@@ -6,7 +6,9 @@ finite, square, non-negative matrix, else ``ValidationError``.
 
 With both marginals uniform and a square cost matrix, the transport problem
 is a linear assignment problem: its optimum is a permutation matrix scaled
-by 1/m.  ``solve_exact`` finds that vertex with the Jonker-Volgenant
+by 1/m, so an exact or brute-force ``OtSolution`` stores just that
+permutation (``assignment``) and builds its map only when ``.map`` is read.
+``solve_exact`` finds that vertex with the Jonker-Volgenant
 algorithm (Computing 38, 1987): column reduction and augmenting row
 reduction warm-start the duals and assign most rows, then one Dijkstra
 shortest augmenting path search per row still free completes the
@@ -45,12 +47,25 @@ _RIDGE = 1e-12  # Schur diagonal added, relative to its largest entry
 
 @dataclass(frozen=True, eq=False)
 class OtSolution:
-    map: np.ndarray
+    coupling: np.ndarray | None  # a Sinkhorn solution's dense map; None for a permutation
     objective: float
     solver: str
     iterations: int
     converged: bool = True
     assignment: np.ndarray | None = None  # row i's column in a permutation map; None from Sinkhorn
+
+    @property
+    def side(self) -> int:
+        return len(self.coupling if self.assignment is None else self.assignment)
+
+    @property
+    def map(self) -> np.ndarray:
+        """The dense coupling; a permutation's is built anew on each read."""
+        if self.assignment is None:
+            return self.coupling
+        t = np.zeros((self.side, self.side))
+        t[np.arange(self.side), self.assignment] = 1.0 / self.side
+        return t
 
 
 def _check_cost(a, name: str = "cost matrix") -> np.ndarray:
@@ -287,12 +302,12 @@ def _lex_smallest_assignment(zero: np.ndarray, col_for_row: np.ndarray) -> np.nd
     return col
 
 
-def _permutation_solution(cost: np.ndarray, assign: np.ndarray, solver: str, iterations: int) -> OtSolution:
-    n = cost.shape[0]
-    t = np.zeros((n, n))
-    t[np.arange(n), assign] = 1.0 / n
-    t = validate_transport_map(t)
-    return OtSolution(t, ot_objective(t, cost), solver, iterations, assignment=assign)
+def permutation_solution(cost: np.ndarray, assign: np.ndarray, solver: str, iterations: int) -> OtSolution:
+    """The coupling sending row i's 1/m to column ``assign[i]``, feasible by
+    construction, so neither built nor checked; priced along ``assign``."""
+    m = len(assign)
+    objective = float(cost[np.arange(m), assign].sum()) / m
+    return OtSolution(None, objective, solver, iterations, assignment=assign)
 
 
 def solve_exact(cost) -> OtSolution:
@@ -308,7 +323,7 @@ def solve_exact(cost) -> OtSolution:
     tol = 1e-9 * max(1.0, float(d.max()))
     reduced = d - u[:, None] - v[None, :]
     assign = _lex_smallest_assignment(reduced <= tol, col_for_row)
-    return _permutation_solution(d, assign, "exact", iterations=searches)
+    return permutation_solution(d, assign, "exact", iterations=searches)
 
 
 def brute_force_ot(cost) -> OtSolution:
@@ -329,7 +344,7 @@ def brute_force_ot(cost) -> OtSolution:
         if total < best_total:
             best_total = total
             best_perm = perm
-    return _permutation_solution(
+    return permutation_solution(
         d, np.asarray(best_perm, dtype=np.int64), "brute-force", iterations=count
     )
 
@@ -337,10 +352,12 @@ def brute_force_ot(cost) -> OtSolution:
 def _round_to_polytope(t: np.ndarray) -> np.ndarray:
     """Project a near-feasible coupling onto exact uniform marginals.
 
-    Rows and columns are scaled down to at most the target mass and the
-    remaining deficiency is spread as a rank-one non-negative correction,
-    so the result is feasible up to float rounding.  The perturbation is
-    of the order of the marginal residuals.
+    Algorithm 2 of Altschuler, Weed & Rigollet, *Near-linear time
+    approximation algorithms for optimal transport via Sinkhorn iteration*
+    (NeurIPS 2017): rows and columns are scaled down to at most the target
+    mass and the remaining deficiency is spread as a rank-one non-negative
+    correction, so the result is feasible up to float rounding.  The
+    perturbation is of the order of the marginal residuals.
     """
     m = t.shape[0]
     target = 1.0 / m
@@ -511,7 +528,7 @@ def solve_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: 
     t = validate_transport_map(_round_to_polytope(t))
     return OtSolution(
         t,
-        ot_objective(t, d),
+        float(np.sum(t * d)),
         solver=f"sinkhorn(eps={eps:g})",
         iterations=iterations,
         converged=converged,

@@ -378,6 +378,14 @@ class TestExitCodes:
                      "--out", str(workdir / "x.json")]) == 2
         assert "eps must be finite and positive" in capsys.readouterr().err
 
+    def test_bad_sinkhorn_eps_is_two_before_any_checkpoint_is_read(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # relative paths keep the test name out of the message
+        assert main(["align", "missing_a.json", "missing_b.json", "--solver", "sinkhorn",
+                     "--eps", "nan", "--out", "x.json"]) == 2
+        err = capsys.readouterr().err
+        assert "sinkhorn_eps" in err
+        assert "missing_a.json" not in err
+
     def test_eps_without_the_sinkhorn_solver_is_two(self, workdir, capsys):
         ckpt = str(workdir / "model.json")
         assert main(["train", str(workdir / "arch.json"), str(workdir / "train.csv"),

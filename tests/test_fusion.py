@@ -13,7 +13,6 @@ from otfuse.fusion import (
 from otfuse.nets import LayerSpec, max_weight_difference
 from otfuse.transport import (
     brute_force_ot,
-    hard_permutation,
     solve_exact,
     solve_sinkhorn,
     validate_transport_map,
@@ -91,18 +90,18 @@ class TestAlignmentObjectives:
         a, b, _ = trained_pair(seed=1)
         result = align(a, b)
         rng = np.random.default_rng(5)
-        from otfuse.linalg import matmul, row_distance_matrix
+        from otfuse.linalg import row_distance_matrix
 
-        prev = np.eye(a.specs[0].in_dim)
+        prev = np.arange(a.specs[0].in_dim)
         for l, layer in enumerate(result.layers[:-1]):
-            w_hat = matmul(a.layers[l].w, prev)
+            w_hat = a.layers[l].w[:, prev]
             cost = row_distance_matrix(w_hat, b.layers[l].w)
             m = cost.shape[0]
             for _ in range(1000):
                 perm = rng.permutation(m)
                 random_obj = cost[np.arange(m), perm].sum() / m
                 assert layer.objective <= random_obj + 1e-12
-            prev = hard_permutation(layer.map)
+            prev = np.argsort(layer.assignment)
 
     def test_converged_per_layer(self, monkeypatch):
         a, b, _ = trained_pair(seed=2)
@@ -174,6 +173,11 @@ class TestAlignmentFlags:
             with pytest.raises(ValidationError, match="sinkhorn_eps"):
                 AlignmentOptions(sinkhorn_eps=0.05, **opts)
         assert AlignmentOptions(solver="sinkhorn", sinkhorn_eps=0.05).sinkhorn_eps == 0.05
+
+    def test_sinkhorn_eps_must_be_finite_and_positive(self):
+        for eps in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(ValidationError, match="sinkhorn_eps must be finite and positive"):
+                AlignmentOptions(solver="sinkhorn", sinkhorn_eps=eps)
 
     @pytest.mark.parametrize("solver", ["exact", "sinkhorn"])
     def test_pinned_output_layer_is_its_own_record(self, solver):
@@ -249,7 +253,8 @@ class TestMapApplication:
         m = random_checkpoint(rng, three_layer_specs(in_dim=9, hidden=128))
         result = align(m, m, AlignmentOptions(solver="sinkhorn"))
         first = result.layers[0].map
-        assert hard_permutation(first) is not None
+        assert result.layers[0].assignment is None
+        assert np.abs(first - np.eye(128) / 128).max() <= 1e-9 / 128
         assert not np.array_equal(first, np.eye(128) / 128)
         prev = np.eye(m.specs[0].in_dim)
         for layer, aligned, solution in zip(m.layers, result.aligned.layers, result.layers):

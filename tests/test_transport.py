@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -129,10 +130,6 @@ class TestSolveExact:
             solve_exact(np.array([[-1.0, 0.0], [0.0, 1.0]]))
 
 
-def _assignment(sol):
-    return np.argmax(sol.map, axis=1)
-
-
 class TestTieRefinement:
     def test_matches_kuhn_oracle_on_tie_heavy_integer_costs(self):
         rng = np.random.default_rng(31)
@@ -142,7 +139,7 @@ class TestTieRefinement:
             # integer costs keep the duals exact, so the zero graph is exact
             _, u, v, _ = _jonker_volgenant(d)
             zero = d - u[:, None] - v[None, :] <= 1e-9 * max(1.0, float(d.max()))
-            assert np.array_equal(_assignment(solve_exact(d)), kuhn_lex_assignment(zero))
+            assert np.array_equal(solve_exact(d).assignment, kuhn_lex_assignment(zero))
 
     def test_all_zero_cost_is_identity(self):
         for m in (1, 2, 17, 64, 256):
@@ -187,7 +184,7 @@ class TestTieRefinement:
             ref_col, ref_u, ref_v = reference_lap(d)
             ref_zero = d - ref_u[1:, None] - ref_v[None, 1:] <= tol
             expected = _lex_smallest_assignment(ref_zero, ref_col)
-            assert np.array_equal(_assignment(solve_exact(d)), expected)
+            assert np.array_equal(solve_exact(d).assignment, expected)
 
     def test_matching_outside_zero_graph_rejected(self):
         zero = np.eye(4, dtype=bool)
@@ -257,6 +254,34 @@ class TestBruteForce:
     def test_side_limit(self):
         with pytest.raises(ValidationError):
             brute_force_ot(np.zeros((9, 9)))
+
+
+class TestPermutationRecord:
+    def test_record_is_its_assignment(self):
+        # continuous, tie-heavy integer and repeated-row costs; the last
+        # are tied by whole rows
+        rng = np.random.default_rng(23)
+        draws = []
+        for m in (1, 2, 5, 31, 128, 256):
+            rows = rng.uniform(0, 10, (max(1, m // 4), m))
+            draws += [
+                (solve_exact, rng.uniform(0, 10, (m, m))),
+                (solve_exact, rng.integers(0, 3, (m, m)).astype(np.float64)),
+                (solve_exact, rows[rng.integers(0, len(rows), m)]),
+            ]
+        for m in range(1, 9):
+            draws += [
+                (brute_force_ot, rng.uniform(0, 10, (m, m))),
+                (brute_force_ot, rng.integers(0, 3, (m, m)).astype(np.float64)),
+            ]
+        for solve, d in draws:
+            sol = solve(d)
+            m = len(d)
+            assert all(np.ndim(getattr(sol, f.name)) < 2 for f in dataclasses.fields(sol))
+            assert sol.objective == float(d[np.arange(m), sol.assignment].sum()) / m
+            t = np.zeros((m, m))
+            t[np.arange(m), sol.assignment] = 1.0 / m
+            assert sol.map.tobytes() == t.tobytes()
 
 
 class TestSinkhorn:
