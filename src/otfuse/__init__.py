@@ -25,7 +25,6 @@ from .fusion import (
     direct_average,
     fuse,
 )
-from .linalg import row_distance_matrix
 from .nets import (
     Checkpoint,
     CheckpointMeta,
@@ -60,6 +59,7 @@ from .transport import (
     brute_force_ot,
     identity_map,
     ot_objective,
+    row_distance_matrix,
     solve_exact,
     solve_sinkhorn,
     validate_transport_map,

@@ -3,10 +3,11 @@
 ``align`` walks the layers of model A in order.  For each layer it first
 re-expresses A's input weights in B's coordinates using the previous layer's
 map, then solves a transport problem between the (aligned) rows of A and
-the rows of B, and finally applies the new map to A's output side, bias
-included.  ``fuse`` blends the aligned model with B; ``direct_average`` is
-the no-alignment baseline.  The short fine-tuning that completes the recipe
-is ``nets.finetune``, run on the fused model by its caller.
+the rows of B, on the Euclidean cost ``transport.row_distance_matrix``, and
+finally applies the new map to A's output side, bias included.  ``fuse``
+blends the aligned model with B; ``direct_average`` is the no-alignment
+baseline.  The short fine-tuning that completes the recipe is
+``nets.finetune``, run on the fused model by its caller.
 
 Each layer's map is an ``OtSolution``.  An exact or pinned layer is its
 assignment alone, applied as an index gather, so aligning a model with
@@ -20,9 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy import (
+    matmul,  # unused; perfbench/tracer.py TARGETS binds it here (ROADMAP item 1b)
+    transpose,  # unused; perfbench/tracer.py TARGETS binds it here (ROADMAP item 1b)
+)
 
 from .errors import ValidationError
-from .linalg import matmul, row_distance_matrix, transpose
 from .nets import (
     Checkpoint,
     CheckpointMeta,
@@ -39,6 +43,7 @@ from .transport import (
     identity_map,  # unused; perfbench/tracer.py TARGETS binds it here (ROADMAP item 1b)
     ot_objective,  # unused; perfbench/tracer.py TARGETS binds it here (ROADMAP item 1b)
     permutation_solution,
+    row_distance_matrix,
     solve_exact,
     solve_sinkhorn,
 )
@@ -113,7 +118,9 @@ def align(model_a: Checkpoint, model_b: Checkpoint, opts: AlignmentOptions = Ali
         wa, ba = model_a.layers[l].w, model_a.layers[l].b
         wb, bb = model_b.layers[l].w, model_b.layers[l].b
 
-        w_hat = wa[:, prev] if prev.ndim == 1 else matmul(wa, prev)
+        # take gives a C-order copy where wa[:, prev] may be F-order, and a
+        # Sinkhorn layer's prev.T @ w_hat rounds differently on the two
+        w_hat = wa.take(prev, axis=1) if prev.ndim == 1 else wa @ prev
 
         cost_rows_a = w_hat if opts.cost_on_aligned_inputs else wa
         if opts.bias_in_cost:
@@ -131,7 +138,7 @@ def align(model_a: Checkpoint, model_b: Checkpoint, opts: AlignmentOptions = Ali
             aligned_layers.append(LayerWeights(w_hat[prev], ba[prev]))
         else:
             prev = spec.out_dim * solution.coupling
-            aligned_layers.append(LayerWeights(matmul(transpose(prev), w_hat), prev.T @ ba))
+            aligned_layers.append(LayerWeights(prev.T @ w_hat, prev.T @ ba))
 
     meta = CheckpointMeta(
         seed=model_a.meta.seed,

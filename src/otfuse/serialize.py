@@ -100,10 +100,13 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
             LayerSpec(json_int(s["in_dim"]), json_int(s["out_dim"]), str(s["activation"]))
             for s in specs_doc
         )
+        tag = meta_doc.get("tag", "")
+        if not isinstance(tag, str):
+            raise TypeError(f"meta.tag must be a JSON string, got {tag!r}")
         meta = CheckpointMeta(
             seed=json_int(meta_doc.get("seed", 0)),
             training_epochs=json_int(meta_doc.get("training_epochs", 0)),
-            tag=str(meta_doc.get("tag", "")),
+            tag=tag,
         )
     except (KeyError, TypeError) as exc:
         raise CheckpointFormatError(f"malformed checkpoint fields: {exc}") from exc

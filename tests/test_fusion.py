@@ -13,6 +13,7 @@ from otfuse.fusion import (
 from otfuse.nets import LayerSpec, max_weight_difference
 from otfuse.transport import (
     brute_force_ot,
+    row_distance_matrix,
     solve_exact,
     solve_sinkhorn,
     validate_transport_map,
@@ -62,6 +63,16 @@ class TestPermutationRecovery:
             x = rng.standard_normal(6)
             assert np.abs(forward(result.aligned, x) - forward(original, x)).max() <= 1e-9
 
+    def test_recovery_of_tiny_weights(self):
+        # every cost is below 1e-9, so only a tie tolerance relative to the
+        # largest cost tells the planted permutation from the rest
+        rng = np.random.default_rng(3)
+        original = random_checkpoint(rng, three_layer_specs(hidden=16), scale=1e-10)
+        perms = [rng.permutation(16), rng.permutation(16)]
+        result = align(permuted_twin(original, perms), original)
+        for layer, perm in zip(result.layers[:-1], perms):
+            assert np.array_equal(layer.assignment, perm)
+
     def test_aligned_twin_preserves_function_of_twin(self):
         # hard maps only permute units, so the aligned model computes the
         # same function as the model it was built from
@@ -90,8 +101,6 @@ class TestAlignmentObjectives:
         a, b, _ = trained_pair(seed=1)
         result = align(a, b)
         rng = np.random.default_rng(5)
-        from otfuse.linalg import row_distance_matrix
-
         prev = np.arange(a.specs[0].in_dim)
         for l, layer in enumerate(result.layers[:-1]):
             w_hat = a.layers[l].w[:, prev]

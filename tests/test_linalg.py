@@ -1,3 +1,6 @@
+"""The row-distance cost ``otfuse.transport.row_distance_matrix``: the one
+piece of dense linear algebra otfuse computes beyond plain numpy products."""
+
 import tracemalloc
 
 import numpy as np
@@ -5,21 +8,9 @@ import pytest
 
 from helpers import trained_pair
 from otfuse.errors import ValidationError
-from otfuse.linalg import matmul, row_distance_matrix, transpose
-from otfuse.transport import solve_exact
+from otfuse.transport import row_distance_matrix, solve_exact
 
 U = 2.0**-53  # float64 unit roundoff
-
-
-def naive_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
 
 
 def explicit_distances(a, b):
@@ -29,55 +20,6 @@ def explicit_distances(a, b):
         diff = a[i] - b
         out[i] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_projector(self):
-        p = np.array([[1.0, 0.0], [0.0, 0.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        assert np.array_equal(matmul(p, b), [[5.0, 6.0], [0.0, 0.0]])
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((4, 2))
-        np.testing.assert_allclose(matmul(a, b), naive_matmul(a, b), atol=1e-12)
-
-    def test_large_random_against_oracle(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((64, 33))
-        b = rng.standard_normal((33, 64))
-        got = matmul(a, b)
-        ref = naive_matmul(a, b)
-        denom = np.maximum(np.abs(ref), 1.0)
-        assert (np.abs(got - ref) / denom).max() <= 1e-12
-
-    def test_dimension_mismatch_reports_both_shapes(self):
-        with pytest.raises(ValidationError, match=r"2x3.*4x2"):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValidationError):
-            matmul(np.array([[np.nan, 0.0]]), np.zeros((2, 1)))
-
-
-class TestTranspose:
-    def test_small(self):
-        assert np.array_equal(
-            transpose([[1.0, 2.0], [3.0, 4.0]]), [[1.0, 3.0], [2.0, 4.0]]
-        )
-
-    def test_involution(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((5, 7))
-        assert np.array_equal(transpose(transpose(a)), a)
-
-    def test_row_to_column(self):
-        assert transpose([[1.0, 2.0, 3.0]]).shape == (3, 1)
 
 
 class TestRowDistanceMatrix:

@@ -120,7 +120,10 @@ def test_golden_minimal_one_layer_file(tmp_path):
      # integers must be JSON integers: no bool, float or string is coerced
      ("format_version", True), ("format_version", 1.0), ("specs.0.in_dim", 6.7),
      ("specs.2.out_dim", "5"), ("meta.seed", 3.9), ("meta.training_epochs", 2.0),
-     ("meta.seed", False)],
+     ("meta.seed", False),
+     # the tag must be a JSON string; no other value is coerced to one
+     ("meta.tag", None), ("meta.tag", True), ("meta.tag", 5), ("meta.tag", [1, 2]),
+     ("meta.tag", {"a": 1})],
 )
 def test_wrongly_typed_top_level_field_is_corrupt(field, value):
     """``field`` is a dotted path.  Spec 0 has in_dim 6 and spec 2 out_dim 5,

@@ -71,6 +71,20 @@ class TestSolveExact:
                 assert abs(a.objective - b.objective) <= 1e-9
                 assert np.array_equal(a.map, b.map)
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-6, 1.0, 1e3])
+    def test_optimal_at_every_cost_scale(self, scale):
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            m = int(rng.integers(2, 8))
+            d = scale * rng.uniform(0, 1, (m, m))
+            a, b = solve_exact(d), brute_force_ot(d)
+            assert a.objective <= b.objective + 1e-9 * d.max()
+
+    def test_tiny_costs_are_not_ties(self):
+        sol = solve_exact(1e-10 * np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert np.array_equal(sol.assignment, [1, 0])
+        assert sol.objective == 0.0
+
     def test_vertex_property(self):
         rng = np.random.default_rng(13)
         for m in (2, 5, 9):
