@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -76,6 +77,20 @@ def _load_arch(path) -> tuple[LayerSpec, ...]:
         raise DataFormatError(f"{path}: malformed layer entry ({exc})") from exc
 
 
+def _check_writable(*paths) -> None:
+    """Open each output path before any work, so an unwritable one fails first
+    (exit 2).  A file the check creates is removed again: a failed run leaves
+    no output behind, and an existing file is not changed."""
+    for path in paths:
+        if path is None:
+            continue
+        existed = os.path.exists(path)
+        with open(path, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            os.remove(path)
+
+
 def _train_config(args) -> TrainConfig:
     return TrainConfig(
         epochs=args.epochs,
@@ -95,6 +110,7 @@ def _add_train_flags(p, default_epochs: int) -> None:
 
 
 def _cmd_train(args) -> int:
+    _check_writable(args.out)
     specs = _load_arch(args.arch)
     data = load_dataset_csv(args.data, specs[-1].out_dim)
     ckpt = train(specs, data, _train_config(args))
@@ -129,6 +145,7 @@ def _write_maps(result, path) -> None:
 
 
 def _cmd_align(args) -> int:
+    _check_writable(args.out, args.maps_out)
     opts = _alignment_options(args)
     model_a = load_checkpoint(args.ckpt_a)
     model_b = load_checkpoint(args.ckpt_b)
@@ -157,6 +174,7 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_finetune(args) -> int:
+    _check_writable(args.out)
     ckpt = load_checkpoint(args.ckpt)
     data = load_dataset_csv(args.data, ckpt.specs[-1].out_dim)
     out = finetune(ckpt, data, _train_config(args))

@@ -166,11 +166,15 @@ def init_checkpoint(specs, seed: int, tag: str = "init") -> Checkpoint:
     return make_checkpoint(specs, layers, meta)
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+def _layer_forward(a: np.ndarray, wt: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
+    """One layer's output ``activation(a @ w.T + b)``; the bias add and the
+    activation run in place on the product's fresh array."""
+    z = a @ wt
+    z += b
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    if kind == "tanh":
-        return np.tanh(z)
+        np.maximum(z, 0.0, out=z)
+    elif kind == "tanh":
+        np.tanh(z, out=z)
     return z
 
 
@@ -183,7 +187,7 @@ def forward_batch(ckpt: Checkpoint, x: np.ndarray) -> np.ndarray:
         )
     a = x
     for spec, layer in zip(ckpt.specs, ckpt.layers):
-        a = _activate(a @ layer.w.T + layer.b, spec.activation)
+        a = _layer_forward(a, layer.w.T, layer.b, spec.activation)
     return a
 
 
@@ -229,37 +233,57 @@ def accuracy(ckpt: Checkpoint, data: Dataset) -> float:
     return accuracy_from_logits(forward_batch(ckpt, data.features), data.labels)
 
 
-def _backprop(specs, ws, bs, x: np.ndarray, labels: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Gradients of the mean cross-entropy as ``(gw, gb)`` per layer.
+def _layout(specs, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(w, b)`` views of each layer in one flat vector, laid out layer by
+    layer as the row-major weight matrix followed by its bias."""
+    views, start = [], 0
+    for spec in specs:
+        mid = start + spec.out_dim * spec.in_dim
+        stop = mid + spec.out_dim
+        views.append((vec[start:mid].reshape(spec.out_dim, spec.in_dim), vec[mid:stop]))
+        start = stop
+    return views
 
-    Works on raw arrays and checks nothing; callers validate first.
+
+def _flatten(ckpt: Checkpoint) -> np.ndarray:
+    """A new flat vector holding the checkpoint's parameters in ``_layout`` order."""
+    return np.concatenate([a.ravel() for layer in ckpt.layers for a in (layer.w, layer.b)])
+
+
+def _backprop(specs, params, grads, x: np.ndarray, onehot: np.ndarray) -> None:
+    """Write the gradients of the mean cross-entropy into ``grads``.
+
+    ``params`` holds ``(w, w.T, b)`` and ``grads`` holds ``(gw, gb)`` per
+    layer, views of flat vectors; ``onehot`` is the one-hot label matrix of the
+    rows of ``x``.  Works on raw arrays and checks nothing; callers validate first.
     """
-    n = x.shape[0]
-
     acts = [x]  # post-activations, acts[0] is the input
-    for spec, w, b in zip(specs, ws, bs):
-        acts.append(_activate(acts[-1] @ w.T + b, spec.activation))
+    for spec, (_, wt, b) in zip(specs, params):
+        acts.append(_layer_forward(acts[-1], wt, b, spec.activation))
 
-    logits = acts[-1]
-    m = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    probs = e / e.sum(axis=1, keepdims=True)
-    delta = probs
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n  # gradient of the mean cross-entropy wrt logits
+    delta = acts[-1] - acts[-1].max(axis=1, keepdims=True)
+    np.exp(delta, out=delta)
+    delta /= delta.sum(axis=1, keepdims=True)
+    delta -= onehot
+    delta /= x.shape[0]  # gradient of the mean cross-entropy wrt logits
 
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(ws)  # type: ignore[list-item]
-    for i in range(len(ws) - 1, -1, -1):
+    for i in range(len(params) - 1, -1, -1):
         # derivatives from the layer's output, so no pre-activations are kept
         a = acts[i + 1]
         if specs[i].activation == "relu":
-            delta = delta * (a > 0.0)
+            delta *= a > 0.0
         elif specs[i].activation == "tanh":
-            delta = delta * (1.0 - a * a)
-        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
+            delta *= 1.0 - a * a
+        gw, gb = grads[i]
+        np.matmul(delta.T, acts[i], out=gw)
+        delta.sum(axis=0, out=gb)
         if i > 0:
-            delta = delta @ ws[i]
-    return grads
+            delta = delta @ params[i][0]
+
+
+def _params(specs, theta: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The ``(w, w.T, b)`` views ``_backprop`` reads, made once per vector."""
+    return [(w, w.T, b) for w, b in _layout(specs, theta)]
 
 
 def loss_gradients(ckpt: Checkpoint, data: Dataset) -> list[LayerWeights]:
@@ -268,14 +292,11 @@ def loss_gradients(ckpt: Checkpoint, data: Dataset) -> list[LayerWeights]:
     Returned as one ``LayerWeights`` of gradients per layer, in layer order.
     """
     check_model_data(ckpt.specs, data)
-    grads = _backprop(
-        ckpt.specs,
-        [layer.w for layer in ckpt.layers],
-        [layer.b for layer in ckpt.layers],
-        data.features,
-        data.labels,
-    )
-    return [LayerWeights(gw, gb) for gw, gb in grads]
+    theta = _flatten(ckpt)
+    grads = _layout(ckpt.specs, np.empty_like(theta))
+    onehot = np.eye(data.num_classes)[data.labels]
+    _backprop(ckpt.specs, _params(ckpt.specs, theta), grads, data.features, onehot)
+    return [LayerWeights(gw.copy(), gb.copy()) for gw, gb in grads]
 
 
 def train(specs, data: Dataset, cfg: TrainConfig) -> Checkpoint:
@@ -287,31 +308,40 @@ def train(specs, data: Dataset, cfg: TrainConfig) -> Checkpoint:
 
 def finetune(ckpt: Checkpoint, data: Dataset, cfg: TrainConfig) -> Checkpoint:
     """Continue minibatch SGD from an existing checkpoint for ``cfg.epochs``
-    epochs; deterministic in cfg.seed."""
+    epochs; deterministic in cfg.seed.
+
+    All parameters live in one flat vector, so a step's update is one
+    multiply and one subtract whatever the depth.
+    """
     check_model_data(ckpt.specs, data)
     if cfg.epochs == 0:
         return ckpt
     rng = seeded_rng(cfg.seed)
-    ws = [layer.w.copy() for layer in ckpt.layers]
-    bs = [layer.b.copy() for layer in ckpt.layers]
-    n = data.features.shape[0]
+    theta = _flatten(ckpt)
+    grad, step = np.empty_like(theta), np.empty_like(theta)
+    params, grads = _params(ckpt.specs, theta), _layout(ckpt.specs, grad)
+    onehot = np.eye(data.num_classes)[data.labels]
+    x, y = data.features, onehot
+    n = x.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
-            order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+            if cfg.shuffle:  # one gather per epoch; a minibatch is then two slices
+                order = rng.permutation(n)
+                x, y = data.features[order], onehot[order]
             for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                grads = _backprop(ckpt.specs, ws, bs, data.features[idx], data.labels[idx])
-                for i, (gw, gb) in enumerate(grads):
-                    ws[i] -= cfg.learning_rate * gw
-                    bs[i] -= cfg.learning_rate * gb
-    if not all(np.isfinite(w).all() and np.isfinite(b).all() for w, b in zip(ws, bs)):
+                batch = slice(start, start + cfg.batch_size)
+                _backprop(ckpt.specs, params, grads, x[batch], y[batch])
+                np.multiply(grad, cfg.learning_rate, out=step)
+                theta -= step
+    if not np.isfinite(theta).all():
         raise NumericalError(
             "training diverged to non-finite weights; lower the learning rate"
         )
     meta = replace(
         ckpt.meta, training_epochs=ckpt.meta.training_epochs + cfg.epochs
     )
-    return make_checkpoint(ckpt.specs, [LayerWeights(w, b) for w, b in zip(ws, bs)], meta)
+    layers = [LayerWeights(w, b) for w, b in _layout(ckpt.specs, theta)]
+    return make_checkpoint(ckpt.specs, layers, meta)  # copies, so theta is not shared
 
 
 def blend_layers(ckpt0: Checkpoint, ckpt1: Checkpoint, alpha: float) -> list[LayerWeights]:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from otfuse import experiment, fusion, transport
+from otfuse import cli, experiment, fusion, nets, transport
 from otfuse.cli import main
 from otfuse.data import DomainMixtureConfig, gen_synthetic, save_dataset_csv
 from otfuse.fusion import AlignmentOptions, align
@@ -422,6 +422,36 @@ class TestExitCodes:
         assert main(["experiment", "--seeds", "0,1",
                      "--out-dir", str(workdir / "afile" / "sub")]) == 2
         assert "Not a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "finetune"])
+    def test_unwritable_out_is_two_before_training(self, workdir, capsys, monkeypatch, command):
+        model = workdir / "model.json"
+        assert main(["train", str(workdir / "arch.json"), str(workdir / "train.csv"),
+                     "--epochs", "1", "--out", str(model)]) == 0
+        backprop, steps = nets._backprop, []
+        monkeypatch.setattr(nets, "_backprop", lambda *a: steps.append(1) or backprop(*a))
+        before = sorted(workdir.rglob("*"))
+        source = workdir / ("arch.json" if command == "train" else "model.json")
+        capsys.readouterr()
+        assert main([command, str(source), str(workdir / "train.csv"), "--epochs", "2",
+                     "--out", str(workdir / "missing" / "x.json")]) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        assert steps == []
+        assert sorted(workdir.rglob("*")) == before
+
+    def test_unwritable_maps_out_is_two_before_aligning(self, workdir, capsys, monkeypatch):
+        model = str(workdir / "model.json")
+        assert main(["train", str(workdir / "arch.json"), str(workdir / "train.csv"),
+                     "--epochs", "1", "--out", model]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "align", lambda *a: calls.append(1) or align(*a))
+        before = sorted(workdir.rglob("*"))
+        capsys.readouterr()
+        assert main(["align", model, model, "--out", str(workdir / "aligned.json"),
+                     "--maps-out", str(workdir / "missing" / "maps.json")]) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        assert calls == []
+        assert sorted(workdir.rglob("*")) == before
 
     def test_shape_mismatch_is_two(self, workdir, capsys):
         rng = np.random.default_rng(0)

@@ -340,6 +340,22 @@ class TestGradients:
                             ok_rel += 1
             assert ok_rel / total >= 0.95
 
+    def test_second_call_leaves_first_result_unchanged(self):
+        rng = np.random.default_rng(5)
+        specs = random_specs(rng, max_layers=3, max_units=6, activation="tanh")
+        ckpt = random_checkpoint(rng, specs)
+
+        def batch(seed):
+            r = np.random.default_rng(seed)
+            return Dataset(r.standard_normal((7, specs[0].in_dim)),
+                           r.integers(0, specs[-1].out_dim, 7), specs[-1].out_dim)
+
+        first = loss_gradients(ckpt, batch(0))
+        kept = [(g.w.copy(), g.b.copy()) for g in first]
+        loss_gradients(ckpt, batch(1))
+        for g, (w, b) in zip(first, kept):
+            assert np.array_equal(g.w, w) and np.array_equal(g.b, b)
+
 
 class TestInterpolate:
     def test_endpoints_exact(self):
@@ -412,6 +428,37 @@ class TestSgdMatchesReference:
         meta = replace(model.meta, training_epochs=model.meta.training_epochs + cfg.epochs)
         expected = make_checkpoint(self.SPECS, reference_sgd(model, data, cfg), meta)
         assert checkpoints_equal(finetune(model, data, cfg), expected)
+
+    @pytest.mark.parametrize(
+        "specs, n, batch_size",
+        [
+            (SPECS, 49, 16),
+            ((LayerSpec(8, 64, "relu"), LayerSpec(64, 64, "relu"), LayerSpec(64, 5, "identity")),
+             200, 64),
+        ],
+        ids=["last-batch-of-one-row", "8-64-64-5-relu-batch-64"],
+    )
+    @pytest.mark.parametrize("shuffle", [True, False])
+    def test_train_shapes(self, specs, n, batch_size, shuffle):
+        rng = np.random.default_rng(43)
+        classes = specs[-1].out_dim
+        data = Dataset(rng.standard_normal((n, specs[0].in_dim)), rng.integers(0, classes, n), classes)
+        cfg = TrainConfig(epochs=3, batch_size=batch_size, learning_rate=0.1, seed=7, shuffle=shuffle)
+        start = init_checkpoint(specs, cfg.seed, tag="trained")
+        meta = CheckpointMeta(seed=cfg.seed, training_epochs=cfg.epochs, tag="trained")
+        expected = make_checkpoint(specs, reference_sgd(start, data, cfg), meta)
+        assert checkpoints_equal(train(specs, data, cfg), expected)
+
+    def test_result_shares_no_memory_with_training_vector(self, monkeypatch):
+        flatten, vectors = nets._flatten, []
+        monkeypatch.setattr(nets, "_flatten", lambda ckpt: vectors.append(flatten(ckpt)) or vectors[-1])
+        model = random_checkpoint(np.random.default_rng(42), self.SPECS, scale=0.5)
+        out = finetune(model, self.dataset(), TrainConfig(epochs=2, seed=5))
+        (theta,) = vectors
+        assert np.array_equal(theta, flatten(out))  # the vector SGD updated
+        assert not any(
+            np.shares_memory(a, theta) for layer in out.layers for a in (layer.w, layer.b)
+        )
 
 
 def test_default_experiment_report_is_pinned():
