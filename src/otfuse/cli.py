@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -38,7 +37,7 @@ from .scoring import (
     selected_set,
     write_landscape_csv,
 )
-from .serialize import encode_float64, json_int, load_checkpoint, save_checkpoint
+from .serialize import check_writable, json_int, load_checkpoint, save_checkpoint, save_maps
 
 
 def _fmt(x: float) -> str:
@@ -77,20 +76,6 @@ def _load_arch(path) -> tuple[LayerSpec, ...]:
         raise DataFormatError(f"{path}: malformed layer entry ({exc})") from exc
 
 
-def _check_writable(*paths) -> None:
-    """Open each output path before any work, so an unwritable one fails first
-    (exit 2).  A file the check creates is removed again: a failed run leaves
-    no output behind, and an existing file is not changed."""
-    for path in paths:
-        if path is None:
-            continue
-        existed = os.path.exists(path)
-        with open(path, "a", encoding="utf-8"):
-            pass
-        if not existed:
-            os.remove(path)
-
-
 def _train_config(args) -> TrainConfig:
     return TrainConfig(
         epochs=args.epochs,
@@ -110,7 +95,7 @@ def _add_train_flags(p, default_epochs: int) -> None:
 
 
 def _cmd_train(args) -> int:
-    _check_writable(args.out)
+    check_writable(args.out)
     specs = _load_arch(args.arch)
     data = load_dataset_csv(args.data, specs[-1].out_dim)
     ckpt = train(specs, data, _train_config(args))
@@ -130,29 +115,15 @@ def _alignment_options(args) -> AlignmentOptions:
     )
 
 
-def _write_maps(result, path) -> None:
-    doc = {
-        "format_version": 1,
-        "maps": [
-            {"side": layer.side, "coupling": encode_float64(layer.map)}
-            for layer in result.layers
-        ],
-        "objectives": [layer.objective for layer in result.layers],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
 def _cmd_align(args) -> int:
-    _check_writable(args.out, args.maps_out)
+    check_writable(args.out, args.maps_out)
     opts = _alignment_options(args)
     model_a = load_checkpoint(args.ckpt_a)
     model_b = load_checkpoint(args.ckpt_b)
     result = align(model_a, model_b, opts)
     save_checkpoint(result.aligned, args.out)
     if args.maps_out:
-        _write_maps(result, args.maps_out)
+        save_maps(result.layers, args.maps_out)
     print(f"{'layer':>5} {'side':>5} {'objective':>14}")
     for i, layer in enumerate(result.layers):
         print(f"{i:>5} {layer.side:>5} {_fmt(layer.objective):>14}")
@@ -174,7 +145,7 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_finetune(args) -> int:
-    _check_writable(args.out)
+    check_writable(args.out)
     ckpt = load_checkpoint(args.ckpt)
     data = load_dataset_csv(args.data, ckpt.specs[-1].out_dim)
     out = finetune(ckpt, data, _train_config(args))

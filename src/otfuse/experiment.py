@@ -19,6 +19,7 @@ from .data import DomainMixtureConfig, Dataset, concat_datasets, gen_synthetic
 from .errors import ValidationError
 from .fusion import AlignmentOptions, align, direct_average, fuse
 from .nets import Checkpoint, LayerSpec, TrainConfig, accuracy, finetune, loss, train
+from .serialize import check_writable
 
 # method key -> report label, in report order
 METHODS = {
@@ -158,12 +159,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     AlignmentOptions(solver=cfg.solver)  # rejects an unknown solver before any training
     if cfg.output_dir is not None:
         os.makedirs(cfg.output_dir, exist_ok=True)
+        text_path = os.path.join(cfg.output_dir, "report.txt")
+        csv_path = os.path.join(cfg.output_dir, "report.csv")
+        check_writable(text_path, csv_path)
     rows = [run_seed(cfg, seed) for seed in cfg.seeds]
     report = ExperimentReport(cfg, {m: np.array([r[m] for r in rows]) for m in METHODS})
     if cfg.output_dir is not None:
-        with open(os.path.join(cfg.output_dir, "report.txt"), "w", encoding="utf-8") as fh:
+        with open(text_path, "w", encoding="utf-8") as fh:
             fh.write(format_report_text(report))
-        with open(os.path.join(cfg.output_dir, "report.csv"), "w", encoding="utf-8") as fh:
+        with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write(format_report_csv(report))
     return report
 

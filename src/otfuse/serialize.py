@@ -1,4 +1,4 @@
-"""Checkpoint serialization.
+"""Checkpoint and transport-map files.
 
 A checkpoint file is a single JSON document::
 
@@ -7,8 +7,23 @@ A checkpoint file is a single JSON document::
      "specs": [{"in_dim": ..., "out_dim": ..., "activation": ...}, ...],
      "layers": [{"w": "<base64>", "b": "<base64>"}, ...]}
 
-Weight payloads are base64-encoded little-endian float64 values in row-major
+and a maps file (``otfuse align --maps-out``) is::
+
+    {"format_version": 1,
+     "maps": [{"side": ..., "coupling": "<base64>"}, ...],
+     "objectives": [...]}
+
+Payloads are base64-encoded little-endian float64 values in row-major
 order, so ``load(save(x))`` reproduces ``x`` bit-exactly.
+
+Both files are byte for byte what ``json.dump(doc, fh, indent=1)`` followed
+by a newline writes.  ``_write_json`` writes them without ``json.dump``,
+because ``json.dump`` passes every string through its escape pass, one
+character at a time, and payloads are megabytes of base64, in which no
+character needs escaping.  Every other value still goes through ``json``.
+
+``check_writable`` is the test each command makes on its output paths
+before any work.
 """
 
 from __future__ import annotations
@@ -16,6 +31,7 @@ from __future__ import annotations
 import base64
 import binascii
 import json
+import os
 
 import numpy as np
 
@@ -23,6 +39,10 @@ from .errors import CheckpointFormatError, CheckpointVersionError, ValidationErr
 from .nets import Checkpoint, CheckpointMeta, LayerSpec, LayerWeights, make_checkpoint
 
 FORMAT_VERSION = 1
+
+# the keys whose values are base64 payloads; neither format uses them for
+# anything else
+_PAYLOAD_KEYS = frozenset({"w", "b", "coupling"})
 
 
 def encode_float64(arr: np.ndarray) -> str:
@@ -130,10 +150,71 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
         ) from exc
 
 
-def save_checkpoint(ckpt: Checkpoint, path) -> None:
+def check_writable(*paths) -> None:
+    """Open each output path before any work, so an unwritable one fails first
+    (exit 2).  A file the check creates is removed again: a failed run leaves
+    no output behind, and an existing file is not changed."""
+    for path in paths:
+        if path is None:
+            continue
+        existed = os.path.exists(path)
+        with open(path, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            os.remove(path)
+
+
+def _write_json(doc: dict, path) -> None:
+    """Write ``doc`` as ``json.dump(doc, fh, indent=1)`` and a newline would,
+    piece by piece, with each payload put between its quotes unescaped."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(checkpoint_to_dict(ckpt), fh, indent=1)
+        _write_value(fh.write, doc, "\n")
         fh.write("\n")
+
+
+def _write_value(write, value, newline: str) -> None:
+    # json.dump's indented layout: each item on its own line one space
+    # deeper, "," after all but the last, the closing bracket back at
+    # ``newline``; empty containers and scalars are json.dumps's own text
+    inner = newline + " "
+    if isinstance(value, dict) and value:
+        opener = "{"
+        for key, item in value.items():
+            write(f"{opener}{inner}{json.dumps(key)}: ")
+            if key in _PAYLOAD_KEYS:
+                write('"')
+                write(item)
+                write('"')
+            else:
+                _write_value(write, item, inner)
+            opener = ","
+        write(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        opener = "["
+        for item in value:
+            write(opener + inner)
+            _write_value(write, item, inner)
+            opener = ","
+        write(newline + "]")
+    else:
+        write(json.dumps(value))
+
+
+def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    _write_json(checkpoint_to_dict(ckpt), path)
+
+
+def save_maps(layers, path) -> None:
+    """Write an alignment's maps file from its per-layer solutions: each
+    layer's side and dense coupling, then every objective."""
+    _write_json(
+        {
+            "format_version": 1,
+            "maps": [{"side": layer.side, "coupling": encode_float64(layer.map)} for layer in layers],
+            "objectives": [layer.objective for layer in layers],
+        },
+        path,
+    )
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -423,6 +423,17 @@ class TestExitCodes:
                      "--out-dir", str(workdir / "afile" / "sub")]) == 2
         assert "Not a directory" in capsys.readouterr().err
 
+    def test_unwritable_report_is_two_before_any_seed(self, workdir, capsys, monkeypatch):
+        run_seed, seeds = experiment.run_seed, []
+        monkeypatch.setattr(experiment, "run_seed", lambda cfg, seed: seeds.append(seed) or run_seed(cfg, seed))
+        out_dir = workdir / "d"
+        (out_dir / "report.csv").mkdir(parents=True)
+        assert main(["experiment", "--seeds", "0,1", "--train-epochs", "1",
+                     "--finetune-epochs", "1", "--out-dir", str(out_dir)]) == 2
+        assert "report.csv" in capsys.readouterr().err
+        assert seeds == []
+        assert not (out_dir / "report.txt").exists()
+
     @pytest.mark.parametrize("command", ["train", "finetune"])
     def test_unwritable_out_is_two_before_training(self, workdir, capsys, monkeypatch, command):
         model = workdir / "model.json"
