@@ -32,6 +32,7 @@ oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -438,9 +439,10 @@ def _kernel(scaled: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.exp(f[:, None] + g[None, :] - scaled)
 
 
-def _marginal_residual(p: np.ndarray) -> float:
+def _marginal_residual(p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     target = 1.0 / p.shape[0]
-    return max(np.abs(p.sum(axis=1) - target).max(), np.abs(p.sum(axis=0) - target).max())
+    rows, cols = p.sum(axis=1), p.sum(axis=0)
+    return max(np.abs(rows - target).max(), np.abs(cols - target).max()), rows, cols
 
 
 def _newton_polish(scaled: np.ndarray, f: np.ndarray, g: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -465,13 +467,12 @@ def _newton_polish(scaled: np.ndarray, f: np.ndarray, g: np.ndarray, tol: float)
     """
     target = 1.0 / f.shape[0]
     p = _kernel(scaled, f, g)
-    res = _marginal_residual(p)
+    res, rows, cols = _marginal_residual(p)
     # trial steps may overflow; the finiteness and descent tests decide
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_STEPS):
             if res <= tol:
                 break
-            rows, cols = p.sum(axis=1), p.sum(axis=0)
             schur = (p / -cols) @ p.T
             np.fill_diagonal(schur, 0.0)
             degree = -schur.sum(axis=1)
@@ -489,12 +490,12 @@ def _newton_polish(scaled: np.ndarray, f: np.ndarray, g: np.ndarray, tol: float)
             for _ in range(_HALVINGS):
                 trial = _kernel(scaled, f + step * df, g + step * dg)
                 trial_res = _marginal_residual(trial)
-                if trial_res < res:
+                if trial_res[0] < res:
                     break
                 step /= 2
             else:
                 break
-            f, g, p, res = f + step * df, g + step * dg, trial, trial_res
+            f, g, p, (res, rows, cols) = f + step * df, g + step * dg, trial, trial_res
     return f, g
 
 
@@ -506,7 +507,9 @@ def solve_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: 
     log potentials start at the row and column minima (an exact 1 in every
     row and column) and absorb the scalings once they pass ``_ABSORB_ABOVE``
     (Schmitzer, 2019).  A sweep scales rows then columns, and iteration stops
-    once the row residual (max norm) drops to ``tol``.
+    once the row residual (max norm) drops to ``tol``.  Arguments are checked
+    on entry only; a sweep also tests that its residual is finite, which a
+    kernel row or column sum of 0 or inf breaks, and raises if it is not.
 
     Near a hard assignment the sweeps converge slowly, so every
     ``_STALL_EVERY`` sweeps the row residual is compared with the last
@@ -525,11 +528,10 @@ def solve_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: 
     if eps is None:
         mean = float(d.mean())
         eps = 0.01 * mean if mean > 0 else 1.0
-    if not (np.isfinite(eps) and eps > 0):
-        raise ValidationError(f"sinkhorn eps must be finite and positive, got {eps}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValidationError(f"sinkhorn tol must be finite and positive, got {tol}")
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+    for name, x in (("eps", eps), ("tol", tol)):
+        if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)) or not 0 < x < math.inf:
+            raise ValidationError(f"sinkhorn {name} must be a finite positive real number, got {x!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
         raise ValidationError(f"sinkhorn max_iter must be an integer >= 1, got {max_iter!r}")
 
     with np.errstate(over="ignore"):
@@ -546,35 +548,32 @@ def solve_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: 
     kv = kernel @ v
     converged = polished = False
     checked = np.inf  # the row residual at the last stall check
-    for iterations in range(1, max_iter + 1):
-        if (kv <= 0).any() or not np.isfinite(kv).all():
-            raise SinkhornUnderflowError(f"eps={eps:g} is too small: kernel column sums underflowed")
-        u = target / kv
-        ku = kernel.T @ u
-        if (ku <= 0).any() or not np.isfinite(ku).all():
-            raise SinkhornUnderflowError(f"eps={eps:g} is too small: kernel row sums underflowed")
-        v = target / ku
-        kv = kernel @ v
-        # columns are exact after the v update, so only rows are tested
-        residual = np.abs(u * kv - target).max()
-        if residual <= tol:
-            converged = True
-            break
-        stalled = False
-        if not polished and iterations % _STALL_EVERY == 0:
-            stalled = residual > checked / 2
-            checked = residual
-        if stalled or max(u.max(), v.max()) > _ABSORB_ABOVE:
-            # a tiny scaling forces a huge one on the other side, so
-            # bounding the maxima keeps both in range
-            f = f + np.log(u)
-            g = g + np.log(v)
-            if stalled:
-                polished = True
-                f, g = _newton_polish(scaled, f, g, tol / 100)
-            kernel = _kernel(scaled, f, g)
-            u = v = np.ones(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for iterations in range(1, max_iter + 1):
+            u = target / kv
+            v = target / (kernel.T @ u)
             kv = kernel @ v
+            # columns are exact after the v update, so only rows are tested
+            residual = np.abs(u * kv - target).max()
+            if not math.isfinite(residual):
+                raise SinkhornUnderflowError(f"eps={eps:g} is too small: a kernel row or column sum hit 0 or inf")
+            if residual <= tol:
+                converged = True
+                break
+            stalled = False
+            if not polished and iterations % _STALL_EVERY == 0:
+                stalled = residual > checked / 2
+                checked = residual
+            if stalled or max(u.max(), v.max()) > _ABSORB_ABOVE:
+                # a tiny scaling forces a huge one on the other side, so
+                # bounding the maxima keeps both in range
+                f, g = f + np.log(u), g + np.log(v)
+                if stalled:
+                    polished = True
+                    f, g = _newton_polish(scaled, f, g, tol / 100)
+                kernel = _kernel(scaled, f, g)
+                u = v = np.ones(n)
+                kv = kernel @ v
 
     t = u[:, None] * kernel * v[None, :]
     if not np.isfinite(t).all():

@@ -484,3 +484,27 @@ class TestExitCodes:
             "--out", str(workdir / "x.json"),
         ])
         assert rc == 3
+
+    def test_sinkhorn_breakdown_in_the_sweeps_is_three(self, workdir, capsys, monkeypatch):
+        # a kernel row of zeros breaks the first sweep, not the entry checks
+        kernel = transport._kernel
+
+        def zero_row(*a):
+            k = kernel(*a)
+            k[0] = 0.0
+            return k
+
+        for seed, name in ((1, "m1.json"), (2, "m2.json")):
+            main([
+                "train", str(workdir / "arch.json"), str(workdir / "train.csv"),
+                "--epochs", "2", "--seed", str(seed), "--out", str(workdir / name),
+            ])
+        monkeypatch.setattr(transport, "_kernel", zero_row)
+        capsys.readouterr()
+        rc = main([
+            "align", str(workdir / "m1.json"), str(workdir / "m2.json"),
+            "--solver", "sinkhorn", "--out", str(workdir / "x.json"),
+        ])
+        assert rc == 3
+        assert "row or column sum" in capsys.readouterr().err
+        assert not (workdir / "x.json").exists()

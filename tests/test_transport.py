@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -337,20 +338,43 @@ class TestSinkhorn:
         assert np.abs(t.sum(axis=1) - 1 / 6).max() <= 1e-10
         assert np.abs(t.sum(axis=0) - 1 / 6).max() <= 1e-10
 
-    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1.0, "0.1", True, 1 + 0j])
     def test_eps_must_be_finite_and_positive(self, eps):
         with pytest.raises(ValidationError):
             solve_sinkhorn(np.eye(3), eps=eps)
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, "1e-9", [1e-9]])
     def test_tol_must_be_finite_and_positive(self, tol):
         with pytest.raises(ValidationError):
             solve_sinkhorn(np.eye(3), tol=tol)
 
-    @pytest.mark.parametrize("max_iter", [2.5, 10.0, "10", None, 0, -1])
+    @pytest.mark.parametrize("max_iter", [2.5, 10.0, "10", None, 0, -1, True, False])
     def test_max_iter_must_be_a_positive_integer(self, max_iter):
         with pytest.raises(ValidationError):
             solve_sinkhorn(np.eye(3), max_iter=max_iter)
+
+    @pytest.mark.parametrize("breakdown", ["zero row", "inf entry"])
+    def test_breakdown_in_the_sweeps_raises(self, monkeypatch, breakdown):
+        # a kernel row of zeros makes a row sum 0; an inf entry makes one
+        # overflow.  Either reaches the residual in the first sweep: the
+        # solve raises long before max_iter, and no RuntimeWarning escapes
+        kernel = transport._kernel
+
+        def broken(*a):
+            k = kernel(*a)
+            if breakdown == "zero row":
+                k[1] = 0.0
+            else:
+                k[1, 2] = np.inf
+            return k
+
+        monkeypatch.setattr(transport, "_kernel", broken)
+        d = np.random.default_rng(25).uniform(0, 1, (6, 6))
+        for max_iter in (2, 10000):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SinkhornUnderflowError, match="row or column sum"):
+                    solve_sinkhorn(d, eps=0.1, max_iter=max_iter)
 
     def test_max_iter_exhaustion_flags_not_raises(self):
         rng = np.random.default_rng(20)
@@ -532,6 +556,62 @@ class TestNewtonPolish:
         assert not sol.converged
         assert sol.iterations == 1000
         validate_transport_map(sol.map)
+
+
+# sha256 of the coupling's bytes, the objective, the sweeps and the
+# converged flag of solve_sinkhorn on uniform(0, 1) costs, recorded before
+# the sweep loop dropped its per-sweep checks of kv and ku.  Each case takes
+# one path of the loop; like the CLI Sinkhorn pins, these also fix numpy's
+# exp and log, and the BLAS matrix-vector sums, to the last bit.
+SINKHORN_PANEL = {
+    "converges early": (
+        (1, 2, 1.0, 10000),
+        ("dcc5e121f336391b118088b285841bce5e4b94e6e8d099389e0a15d8a737fbc1", 0.6257665071640023, 6, True),
+    ),
+    "stall and polish": (
+        (3, 16, None, 10000),
+        ("c6ae813ae75331de9ae2fb3733315b8d2d3932efbaeb99b3bbb59a84f2ab9996", 0.1019111955097068, 151, True),
+    ),
+    "absorbed": (
+        (0, 32, 1e-4, 400),
+        ("95f1c3f8639d7954e407a6241933543cb8b6e3208783c77670255530276beaeb", 0.07587002968257874, 400, False),
+    ),
+    "exhausts max_iter": (
+        (8, 64, None, 60),
+        ("d949126bed5408a4ea50aaca8aa32eb6075de9e4b6367c77832f4cbc9ff3ed52", 0.03289208631518161, 60, False),
+    ),
+}
+
+
+class TestSinkhornPanelPin:
+    @pytest.mark.parametrize("case", list(SINKHORN_PANEL))
+    def test_panel_is_bit_identical(self, monkeypatch, case):
+        (seed, m, rel_eps, max_iter), pinned = SINKHORN_PANEL[case]
+        builds, polishes = [], []
+        kernel, polish = transport._kernel, transport._newton_polish
+
+        def uncounted_polish(*a):
+            polishes.append(1)
+            with monkeypatch.context() as inner:
+                inner.setattr(transport, "_kernel", kernel)
+                return polish(*a)
+
+        monkeypatch.setattr(transport, "_kernel", lambda *a: builds.append(1) or kernel(*a))
+        monkeypatch.setattr(transport, "_newton_polish", uncounted_polish)
+        d = np.random.default_rng(seed).uniform(0, 1, (m, m))
+        eps = None if rel_eps is None else rel_eps * float(d.mean())
+        sol = solve_sinkhorn(d, eps=eps, max_iter=max_iter)
+        digest = hashlib.sha256(sol.map.tobytes()).hexdigest()
+        assert (digest, sol.objective, sol.iterations, sol.converged) == pinned
+        # the case takes the path its name says
+        if case == "converges early":
+            assert sol.iterations < transport._STALL_EVERY and not polishes
+        elif case == "stall and polish":
+            assert polishes == [1] and len(builds) == 2
+        elif case == "absorbed":
+            assert len(builds) > 1 + len(polishes)
+        else:
+            assert not polishes and builds == [1]
 
 
 class TestTransportMapValidation:
