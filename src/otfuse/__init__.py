@@ -33,6 +33,7 @@ from .nets import (
     TrainConfig,
     accuracy,
     finetune,
+    finetune_stack,
     forward_batch,
     init_checkpoint,
     interpolate,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, ValidationError, check_int, check_real
 
 _SEED_SPACE = 2**64
 
@@ -117,16 +117,14 @@ def _domain_offsets(cfg: DomainMixtureConfig, seed: int, domain: int) -> np.ndar
 
 def gen_synthetic(cfg: DomainMixtureConfig, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic (train, heldout) pair for the configured domains."""
-    if cfg.num_classes < 2:
-        raise ValidationError("need at least 2 classes")
+    check_int("num_classes", cfg.num_classes, 2)
+    for name in ("feature_dim", "train_per_class", "heldout_per_class"):
+        check_int(name, getattr(cfg, name), 1)
+    check_real("noise_scale", cfg.noise_scale)
     if not cfg.domains:
         raise ValidationError("need at least 1 domain")
-    if any(d < 0 for d in cfg.domains):
-        raise ValidationError("domain indices must be non-negative")
-    if cfg.noise_scale <= 0:
-        raise ValidationError("noise_scale must be positive")
-    if cfg.feature_dim < 1 or cfg.train_per_class < 1 or cfg.heldout_per_class < 1:
-        raise ValidationError("feature_dim and per-class counts must be positive")
+    for d in cfg.domains:
+        check_int("domain index", d, 0)
 
     means = _class_means(cfg, seed)
     train_x, train_y, held_x, held_y = [], [], [], []

@@ -2,8 +2,16 @@
 
 The split between :class:`ValidationError` and :class:`NumericalError`
 mirrors the CLI exit codes: bad inputs / malformed files exit 2, numerical
-failures (underflow, non-finite values) exit 3.
+failures (underflow, non-finite values) exit 3.  ``check_real`` and
+``check_int`` are the one check of a scalar argument at the library boundary.
 """
+
+import sys
+
+import numpy as np
+
+_INTEGERS = (int, np.integer)
+_REALS = (int, float, np.integer, np.floating)
 
 
 class OtfuseError(Exception):
@@ -40,3 +48,20 @@ class NumericalError(OtfuseError):
 
 class SinkhornUnderflowError(NumericalError):
     """The Sinkhorn kernel underflowed; the regularization is too small."""
+
+
+def check_real(name: str, x, bounds: tuple[float, float] | None = None) -> None:
+    """Raise ``ValidationError`` unless ``x`` is a real number, not a bool,
+    that is finite and positive, or lies in the closed interval ``bounds``.
+    Strings, NaN and integers past the largest float fail."""
+    if isinstance(x, _REALS) and not isinstance(x, bool):
+        if (0 < x <= sys.float_info.max) if bounds is None else (bounds[0] <= x <= bounds[1]):
+            return
+    expected = "finite and positive" if bounds is None else f"a real number in [{bounds[0]:g}, {bounds[1]:g}]"
+    raise ValidationError(f"{name} must be {expected}, got {x!r}")
+
+
+def check_int(name: str, x, low: int) -> None:
+    """Raise ``ValidationError`` unless ``x`` is an integer, not a bool, of at least ``low``."""
+    if isinstance(x, bool) or not isinstance(x, _INTEGERS) or x < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {x!r}")

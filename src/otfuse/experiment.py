@@ -16,9 +16,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import DomainMixtureConfig, Dataset, concat_datasets, gen_synthetic
-from .errors import ValidationError
+from .errors import ValidationError, check_int, check_real
 from .fusion import AlignmentOptions, align, direct_average, fuse
-from .nets import Checkpoint, LayerSpec, TrainConfig, accuracy, finetune, loss, train
+from .nets import (
+    Checkpoint,
+    LayerSpec,
+    TrainConfig,
+    accuracy,
+    finetune,  # unused; perfbench/tracer.py TARGETS binds it here (ROADMAP item 1b)
+    finetune_stack,
+    init_checkpoint,
+    loss,
+    train,  # unused; perfbench/tracer.py TARGETS binds it here (ROADMAP item 1b)
+)
 from .serialize import check_writable
 
 # method key -> report label, in report order
@@ -117,15 +127,14 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> dict[str, list[float]]:
     held_u = concat_datasets(held_a, held_b)
 
     specs = _model_specs()
-    target = train(
-        specs,
-        train_a,
-        TrainConfig(cfg.train_epochs, BATCH_SIZE, LEARNING_RATE, _child_seed(seed, 1)),
-    )
-    broad = train(
-        specs,
-        train_u,
-        TrainConfig(cfg.train_epochs, BATCH_SIZE, LEARNING_RATE, _child_seed(seed, 2)),
+    train_cfgs = [
+        TrainConfig(cfg.train_epochs, BATCH_SIZE, LEARNING_RATE, _child_seed(seed, stream))
+        for stream in (1, 2)
+    ]
+    target, broad = finetune_stack(
+        [init_checkpoint(specs, c.seed, tag="trained") for c in train_cfgs],
+        [train_a, train_u],
+        train_cfgs,
     )
 
     ft = TrainConfig(cfg.finetune_epochs, BATCH_SIZE, FINETUNE_LR, _child_seed(seed, 3))
@@ -134,15 +143,18 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> dict[str, list[float]]:
     direct = direct_average(target, broad, cfg.lam)
     aligned = fuse(align(target, broad, opts).aligned, broad, cfg.lam)
 
+    target_ft, broad_ft, direct_ft, aligned_ft = finetune_stack(
+        [target, broad, direct, aligned], [train_u] * 4, [ft] * 4
+    )
     models = {
         "target": target,
-        "target_ft": finetune(target, train_u, ft),
+        "target_ft": target_ft,
         "broad": broad,
-        "broad_ft": finetune(broad, train_u, ft),
+        "broad_ft": broad_ft,
         "direct_avg": direct,
-        "direct_avg_ft": finetune(direct, train_u, ft),
+        "direct_avg_ft": direct_ft,
         "aligned_avg": aligned,
-        "aligned_avg_ft": finetune(aligned, train_u, ft),
+        "aligned_avg_ft": aligned_ft,
     }
     return {name: _score(model, held_a, held_b, held_u) for name, model in models.items()}
 
@@ -152,10 +164,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValidationError("experiment needs at least one seed")
     if len(set(cfg.seeds)) != len(cfg.seeds):
         raise ValidationError(f"experiment seeds must be distinct, got {list(cfg.seeds)}")
-    if cfg.train_epochs < 0 or cfg.finetune_epochs < 0:
-        raise ValidationError("epoch counts must be >= 0")
-    if not 0.0 <= cfg.lam <= 1.0:
-        raise ValidationError(f"lam must lie in [0, 1], got {cfg.lam}")
+    check_int("train_epochs", cfg.train_epochs, 0)
+    check_int("finetune_epochs", cfg.finetune_epochs, 0)
+    check_real("lam", cfg.lam, (0.0, 1.0))
     AlignmentOptions(solver=cfg.solver)  # rejects an unknown solver before any training
     if cfg.output_dir is not None:
         os.makedirs(cfg.output_dir, exist_ok=True)

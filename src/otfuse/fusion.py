@@ -26,7 +26,7 @@ from numpy import (
     transpose,  # unused; perfbench/tracer.py TARGETS binds it here (ROADMAP item 1b)
 )
 
-from .errors import ValidationError
+from .errors import ValidationError, check_real
 from .nets import (
     Checkpoint,
     CheckpointMeta,
@@ -76,8 +76,8 @@ class AlignmentOptions:
             raise ValidationError(
                 f"sinkhorn_eps applies to the sinkhorn solver only, not to {self.solver!r}"
             )
-        if eps is not None and not (np.isfinite(eps) and eps > 0):
-            raise ValidationError(f"sinkhorn_eps must be finite and positive, got {eps}")
+        if eps is not None:
+            check_real("sinkhorn_eps", eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,8 +150,7 @@ def align(model_a: Checkpoint, model_b: Checkpoint, opts: AlignmentOptions = Ali
 
 
 def _blend(a: Checkpoint, b: Checkpoint, lam: float, tag: str) -> Checkpoint:
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"lam must lie in [0, 1], got {lam}")
+    check_real("lam", lam, (0.0, 1.0))
     meta = CheckpointMeta(seed=b.meta.seed, training_epochs=0, tag=tag)
     return make_checkpoint(a.specs, blend_layers(a, b, lam), meta)
 

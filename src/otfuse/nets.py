@@ -11,12 +11,13 @@ built, so nothing that takes one checks it again.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import Dataset, frozen_copy, seeded_rng
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_int, check_real
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 
@@ -73,14 +74,9 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValidationError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be positive")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValidationError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}"
-            )
+        check_int("epochs", self.epochs, 0)
+        check_int("batch_size", self.batch_size, 1)
+        check_real("learning_rate", self.learning_rate)
 
 
 def validate_spec_chain(specs) -> tuple[LayerSpec, ...]:
@@ -89,8 +85,8 @@ def validate_spec_chain(specs) -> tuple[LayerSpec, ...]:
     if not specs:
         raise ValidationError("spec chain is empty")
     for i, spec in enumerate(specs):
-        if spec.in_dim < 1 or spec.out_dim < 1:
-            raise ValidationError(f"layer {i} has non-positive dimensions: {spec}")
+        check_int(f"layer {i} in_dim", spec.in_dim, 1)
+        check_int(f"layer {i} out_dim", spec.out_dim, 1)
         if spec.out_dim * spec.in_dim > np.iinfo(np.intp).max // 8:
             raise ValidationError(f"layer {i} is too large for one float64 array: {spec}")
         if spec.activation not in ACTIVATIONS:
@@ -233,39 +229,51 @@ def accuracy(ckpt: Checkpoint, data: Dataset) -> float:
     return accuracy_from_logits(forward_batch(ckpt, data.features), data.labels)
 
 
-def _layout(specs, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(w, b)`` views of each layer in one flat vector, laid out layer by
-    layer as the row-major weight matrix followed by its bias."""
+def _layout(specs, theta: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(w, b)`` views of each layer in one flat parameter vector (P,), or
+    in every row of a (K, P) stack: ``w`` is ([K,] out_dim, in_dim) and
+    ``b`` is ([K,] out_dim).  A vector holds the layers in order, each as its
+    row-major weight matrix followed by its bias."""
+    lead = theta.shape[:-1]
     views, start = [], 0
     for spec in specs:
         mid = start + spec.out_dim * spec.in_dim
         stop = mid + spec.out_dim
-        views.append((vec[start:mid].reshape(spec.out_dim, spec.in_dim), vec[mid:stop]))
+        views.append((
+            theta[..., start:mid].reshape(*lead, spec.out_dim, spec.in_dim),
+            theta[..., mid:stop],
+        ))
         start = stop
     return views
 
 
-def _flatten(ckpt: Checkpoint) -> np.ndarray:
-    """A new flat vector holding the checkpoint's parameters in ``_layout`` order."""
-    return np.concatenate([a.ravel() for layer in ckpt.layers for a in (layer.w, layer.b)])
+def _flatten(ckpts) -> np.ndarray:
+    """A new (K, P) stack of a list of checkpoints' parameters, each row in
+    ``_layout`` order."""
+    parts = [a.ravel() for ckpt in ckpts for layer in ckpt.layers for a in (layer.w, layer.b)]
+    return np.concatenate(parts).reshape(len(ckpts), -1)
 
 
 def _backprop(specs, params, grads, x: np.ndarray, onehot: np.ndarray) -> None:
-    """Write the gradients of the mean cross-entropy into ``grads``.
+    """Write the gradients of each model's mean cross-entropy into ``grads``.
 
     ``params`` holds ``(w, w.T, b)`` and ``grads`` holds ``(gw, gb)`` per
-    layer, views of flat vectors; ``onehot`` is the one-hot label matrix of the
-    rows of ``x``.  Works on raw arrays and checks nothing; callers validate first.
+    layer, ``_layout`` views of one vector or of a (K, P) stack.  ``x`` and
+    ``onehot`` (the one-hot labels of x's rows) are a (B, ...) minibatch, or
+    for a stack one (K, B, ...) minibatch per model.  Each model's slice of
+    every stacked product and sum is the single-model operation, so a
+    stack's results are bit-identical to its models' alone.  Works on raw
+    arrays and checks nothing; callers validate first.
     """
     acts = [x]  # post-activations, acts[0] is the input
     for spec, (_, wt, b) in zip(specs, params):
         acts.append(_layer_forward(acts[-1], wt, b, spec.activation))
 
-    delta = acts[-1] - acts[-1].max(axis=1, keepdims=True)
+    delta = acts[-1] - acts[-1].max(axis=-1, keepdims=True)
     np.exp(delta, out=delta)
-    delta /= delta.sum(axis=1, keepdims=True)
+    delta /= delta.sum(axis=-1, keepdims=True)
     delta -= onehot
-    delta /= x.shape[0]  # gradient of the mean cross-entropy wrt logits
+    delta /= x.shape[-2]  # gradient of the mean cross-entropy wrt logits
 
     for i in range(len(params) - 1, -1, -1):
         # derivatives from the layer's output, so no pre-activations are kept
@@ -275,15 +283,19 @@ def _backprop(specs, params, grads, x: np.ndarray, onehot: np.ndarray) -> None:
         elif specs[i].activation == "tanh":
             delta *= 1.0 - a * a
         gw, gb = grads[i]
-        np.matmul(delta.T, acts[i], out=gw)
-        delta.sum(axis=0, out=gb)
+        np.matmul(delta.swapaxes(-1, -2), acts[i], out=gw)
+        delta.sum(axis=-2, out=gb)
         if i > 0:
             delta = delta @ params[i][0]
 
 
 def _params(specs, theta: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The ``(w, w.T, b)`` views ``_backprop`` reads, made once per vector."""
-    return [(w, w.T, b) for w, b in _layout(specs, theta)]
+    """The ``(w, w.T, b)`` views ``_backprop`` reads, made once per vector or
+    stack; a stack's biases get a batch axis, (K, 1, out_dim), to broadcast."""
+    return [
+        (w, w.swapaxes(-1, -2), b if b.ndim == 1 else b[:, None, :])
+        for w, b in _layout(specs, theta)
+    ]
 
 
 def loss_gradients(ckpt: Checkpoint, data: Dataset) -> list[LayerWeights]:
@@ -292,10 +304,9 @@ def loss_gradients(ckpt: Checkpoint, data: Dataset) -> list[LayerWeights]:
     Returned as one ``LayerWeights`` of gradients per layer, in layer order.
     """
     check_model_data(ckpt.specs, data)
-    theta = _flatten(ckpt)
+    theta = _flatten([ckpt])[0]
     grads = _layout(ckpt.specs, np.empty_like(theta))
-    onehot = np.eye(data.num_classes)[data.labels]
-    _backprop(ckpt.specs, _params(ckpt.specs, theta), grads, data.features, onehot)
+    _backprop(ckpt.specs, _params(ckpt.specs, theta), grads, data.features, np.eye(data.num_classes)[data.labels])
     return [LayerWeights(gw.copy(), gb.copy()) for gw, gb in grads]
 
 
@@ -308,40 +319,112 @@ def train(specs, data: Dataset, cfg: TrainConfig) -> Checkpoint:
 
 def finetune(ckpt: Checkpoint, data: Dataset, cfg: TrainConfig) -> Checkpoint:
     """Continue minibatch SGD from an existing checkpoint for ``cfg.epochs``
-    epochs; deterministic in cfg.seed.
+    epochs; deterministic in cfg.seed.  A stack of one in ``finetune_stack``."""
+    return finetune_stack([ckpt], [data], [cfg])[0]
 
-    All parameters live in one flat vector, so a step's update is one
-    multiply and one subtract whatever the depth.
-    """
-    check_model_data(ckpt.specs, data)
-    if cfg.epochs == 0:
-        return ckpt
+
+def _minibatches(data: Dataset, cfg: TrainConfig, epochs: int):
+    """``epochs`` epochs of (features, one-hot labels) minibatches in the
+    batch order ``cfg`` sets.  A shuffled epoch gathers its rows once, so a
+    minibatch is two slices."""
     rng = seeded_rng(cfg.seed)
-    theta = _flatten(ckpt)
+    x, y = data.features, np.eye(data.num_classes)[data.labels]
+    n, size = x.shape[0], cfg.batch_size
+    for _ in range(epochs):
+        if cfg.shuffle:
+            order = rng.permutation(n)
+            ex, ey = x[order], y[order]
+        else:
+            ex, ey = x, y
+        for start in range(0, n, size):
+            yield ex[start : start + size], ey[start : start + size]
+
+
+def finetune_stack(ckpts, datas, cfgs) -> list[Checkpoint]:
+    """``finetune`` of K same-spec checkpoints, model ``i`` on ``datas[i]``
+    with ``cfgs[i]``.  Each result is bit-identical to ``finetune`` run alone,
+    and a model with 0 epochs comes back as the same object.
+
+    The models' parameters are one (K, P) stack, and the models advance in
+    lockstep, one minibatch each per round.  A round in which every model
+    has a batch of the same row count is one stacked step: (K, B, k) @
+    (K, k, h) products, then one multiply by the K x 1 learning-rate column
+    and one subtract.  Any other round (a partial last batch, or a model
+    that has finished its epochs) steps each model alone on its row, as
+    every round of a stack of one does, with one model's 2-D products.  Models
+    that draw the same batches (one dataset, seed, shuffle and batch size)
+    share one gather per epoch, and a stacked step broadcasts that batch.
+    One finiteness check of the stack after the last round catches
+    divergence.
+    """
+    ckpts, datas, cfgs = list(ckpts), list(datas), list(cfgs)
+    if not ckpts or len(datas) != len(ckpts) or len(cfgs) != len(ckpts):
+        raise ValidationError(
+            f"finetune_stack needs one dataset and config per checkpoint, got "
+            f"{len(ckpts)} checkpoints, {len(datas)} datasets, {len(cfgs)} configs"
+        )
+    specs = ckpts[0].specs
+    for ckpt, data in zip(ckpts, datas):
+        check_same_specs(ckpts[0], ckpt, "finetune_stack")
+        check_model_data(specs, data)
+    trained = [i for i, cfg in enumerate(cfgs) if cfg.epochs > 0]
+    results = list(ckpts)
+    if not trained:
+        return results
+
+    orders, src = {}, []  # models that draw the same batches share one source
+    for i in trained:
+        key = (id(datas[i]), cfgs[i].seed, cfgs[i].shuffle, cfgs[i].batch_size)
+        src.append(orders.setdefault(key, len(orders)))
+    batches = []
+    for s in range(len(orders)):
+        members = [i for t, i in zip(src, trained) if t == s]
+        epochs = max(cfgs[i].epochs for i in members)
+        batches.append(_minibatches(datas[members[0]], cfgs[members[0]], epochs))
+    steps = [cfgs[i].epochs * -(-datas[i].features.shape[0] // cfgs[i].batch_size) for i in trained]
+
+    theta = _flatten([ckpts[i] for i in trained])
     grad, step = np.empty_like(theta), np.empty_like(theta)
-    params, grads = _params(ckpt.specs, theta), _layout(ckpt.specs, grad)
-    onehot = np.eye(data.num_classes)[data.labels]
-    x, y = data.features, onehot
-    n = x.shape[0]
+    params, grads = _params(specs, theta), _layout(specs, grad)
+    rate = np.array([[cfgs[i].learning_rate] for i in trained])
+    alone = [  # each model's source, step count and rows, for the rounds it steps alone
+        (s, n, _params(specs, theta[k]), _layout(specs, grad[k]),
+         theta[k], grad[k], step[k], cfgs[i].learning_rate)
+        for k, (i, s, n) in enumerate(zip(trained, src, steps))
+    ]
+    # a stack of one steps alone, so a single model runs the 2-D kernel
+    together = min(steps) if len(trained) > 1 else 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.epochs):
-            if cfg.shuffle:  # one gather per epoch; a minibatch is then two slices
-                order = rng.permutation(n)
-                x, y = data.features[order], onehot[order]
-            for start in range(0, n, cfg.batch_size):
-                batch = slice(start, start + cfg.batch_size)
-                _backprop(ckpt.specs, params, grads, x[batch], y[batch])
-                np.multiply(grad, cfg.learning_rate, out=step)
+        for r, drawn in enumerate(itertools.zip_longest(*batches)):
+            if r < together and (len(drawn) == 1 or len({len(x) for x, _ in drawn}) == 1):
+                if len(drawn) == 1:
+                    x, y = drawn[0]
+                else:
+                    x = np.empty((len(src), *drawn[0][0].shape))
+                    y = np.empty((len(src), *drawn[0][1].shape))
+                    for k, s in enumerate(src):
+                        x[k], y[k] = drawn[s]
+                _backprop(specs, params, grads, x, y)
+                np.multiply(grad, rate, out=step)
                 theta -= step
+                continue
+            for s, n, p, g, th, gr, st, lr in alone:
+                if r < n:
+                    _backprop(specs, p, g, *drawn[s])
+                    np.multiply(gr, lr, out=st)
+                    th -= st
     if not np.isfinite(theta).all():
         raise NumericalError(
             "training diverged to non-finite weights; lower the learning rate"
         )
-    meta = replace(
-        ckpt.meta, training_epochs=ckpt.meta.training_epochs + cfg.epochs
-    )
-    layers = [LayerWeights(w, b) for w, b in _layout(ckpt.specs, theta)]
-    return make_checkpoint(ckpt.specs, layers, meta)  # copies, so theta is not shared
+    views = _layout(specs, theta)
+    for k, i in enumerate(trained):
+        meta = replace(
+            ckpts[i].meta, training_epochs=ckpts[i].meta.training_epochs + cfgs[i].epochs
+        )
+        layers = [LayerWeights(w[k], b[k]) for w, b in views]
+        results[i] = make_checkpoint(specs, layers, meta)  # copies, so theta is not shared
+    return results
 
 
 def blend_layers(ckpt0: Checkpoint, ckpt1: Checkpoint, alpha: float) -> list[LayerWeights]:

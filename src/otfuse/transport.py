@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, SinkhornUnderflowError, ValidationError
+from .errors import NumericalError, SinkhornUnderflowError, ValidationError, check_int, check_real
 
 MARGINAL_TOL = 1e-8
 BRUTE_FORCE_MAX_SIDE = 8
@@ -528,11 +528,9 @@ def solve_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: 
     if eps is None:
         mean = float(d.mean())
         eps = 0.01 * mean if mean > 0 else 1.0
-    for name, x in (("eps", eps), ("tol", tol)):
-        if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)) or not 0 < x < math.inf:
-            raise ValidationError(f"sinkhorn {name} must be a finite positive real number, got {x!r}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise ValidationError(f"sinkhorn max_iter must be an integer >= 1, got {max_iter!r}")
+    check_real("sinkhorn eps", eps)
+    check_real("sinkhorn tol", tol)
+    check_int("sinkhorn max_iter", max_iter, 1)
 
     with np.errstate(over="ignore"):
         scaled = d / eps

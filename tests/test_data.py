@@ -63,6 +63,13 @@ class TestGenSynthetic:
         with pytest.raises(ValidationError):
             gen_synthetic(DomainMixtureConfig(num_classes=1), 0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_classes", 2.5), ("noise_scale", "1"), ("train_per_class", True),
+    ])
+    def test_bad_argument_type_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            gen_synthetic(DomainMixtureConfig(**{field: value}), 0)
+
     def test_no_domains_rejected(self):
         with pytest.raises(ValidationError):
             gen_synthetic(DomainMixtureConfig(domains=()), 0)

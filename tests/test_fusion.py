@@ -188,6 +188,11 @@ class TestAlignmentFlags:
             with pytest.raises(ValidationError, match="sinkhorn_eps must be finite and positive"):
                 AlignmentOptions(solver="sinkhorn", sinkhorn_eps=eps)
 
+    @pytest.mark.parametrize("eps", ["0.1", True], ids=["string", "bool"])
+    def test_sinkhorn_eps_must_be_a_real_number(self, eps):
+        with pytest.raises(ValidationError, match="sinkhorn_eps must be finite and positive"):
+            AlignmentOptions(solver="sinkhorn", sinkhorn_eps=eps)
+
     @pytest.mark.parametrize("solver", ["exact", "sinkhorn"])
     def test_pinned_output_layer_is_its_own_record(self, solver):
         rng = np.random.default_rng(13)
@@ -224,6 +229,12 @@ class TestFuse:
         m = random_checkpoint(rng, three_layer_specs())
         with pytest.raises(ValidationError):
             fuse(m, m, 1.5)
+
+    @pytest.mark.parametrize("lam", ["0.5", True], ids=["string", "bool"])
+    def test_lambda_must_be_a_real_number(self, lam):
+        m = random_checkpoint(np.random.default_rng(15), three_layer_specs())
+        with pytest.raises(ValidationError, match="lam must be a real number"):
+            fuse(m, m, lam)
 
     def test_fused_output_is_not_output_average(self):
         a, b, _ = trained_pair(seed=3)

@@ -9,7 +9,7 @@ import otfuse.experiment as experiment
 import otfuse.nets as nets
 from helpers import checkpoints_equal, forward, random_checkpoint, random_specs
 from otfuse.data import Dataset, seeded_rng
-from otfuse.errors import ValidationError
+from otfuse.errors import NumericalError, ValidationError
 from otfuse.experiment import (
     ExperimentConfig,
     format_report_csv,
@@ -24,6 +24,7 @@ from otfuse.nets import (
     TrainConfig,
     accuracy,
     finetune,
+    finetune_stack,
     init_checkpoint,
     interpolate,
     loss,
@@ -86,6 +87,11 @@ class TestSpecValidation:
     def test_unknown_activation(self):
         with pytest.raises(ValidationError):
             validate_spec_chain((LayerSpec(2, 2, "sigmoid"),))
+
+    @pytest.mark.parametrize("dims", [(2.5, 3), (True, 3)], ids=["float", "bool"])
+    def test_dimension_must_be_an_integer(self, dims):
+        with pytest.raises(ValidationError, match="layer 0 in_dim must be an integer"):
+            validate_spec_chain((LayerSpec(*dims, "identity"),))
 
     def test_layer_too_large_for_one_array(self):
         with pytest.raises(ValidationError, match="too large for one float64 array"):
@@ -243,6 +249,8 @@ class TestTrain:
     @pytest.mark.parametrize("field, value", [
         ("epochs", -1), ("batch_size", 0), ("learning_rate", 0.0), ("learning_rate", -0.1),
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("learning_rate", "0.1"), ("learning_rate", True), ("epochs", True), ("epochs", 1.5),
+        ("batch_size", 2.5),
     ])
     def test_config_rejects_bad_values(self, field, value):
         with pytest.raises(ValidationError):
@@ -450,15 +458,102 @@ class TestSgdMatchesReference:
         assert checkpoints_equal(train(specs, data, cfg), expected)
 
     def test_result_shares_no_memory_with_training_vector(self, monkeypatch):
-        flatten, vectors = nets._flatten, []
-        monkeypatch.setattr(nets, "_flatten", lambda ckpt: vectors.append(flatten(ckpt)) or vectors[-1])
-        model = random_checkpoint(np.random.default_rng(42), self.SPECS, scale=0.5)
-        out = finetune(model, self.dataset(), TrainConfig(epochs=2, seed=5))
-        (theta,) = vectors
-        assert np.array_equal(theta, flatten(out))  # the vector SGD updated
+        flatten, stacks = nets._flatten, []
+        monkeypatch.setattr(nets, "_flatten", lambda ckpts: stacks.append(flatten(ckpts)) or stacks[-1])
+        rng = np.random.default_rng(42)
+        models = [random_checkpoint(rng, self.SPECS, scale=0.5) for _ in range(2)]
+        cfgs = [TrainConfig(epochs=2, seed=5), TrainConfig(epochs=2, seed=6)]
+        outs = finetune_stack(models, [self.dataset()] * 2, cfgs)
+        (theta,) = stacks
+        assert np.array_equal(theta, flatten(outs))  # the (K, P) stack SGD updated
         assert not any(
-            np.shares_memory(a, theta) for layer in out.layers for a in (layer.w, layer.b)
+            np.shares_memory(a, theta)
+            for out in outs for layer in out.layers for a in (layer.w, layer.b)
         )
+
+
+class TestFinetuneStack:
+    """Each model of a stack against ``reference_sgd`` run on it alone."""
+
+    SPECS = TestSgdMatchesReference.SPECS  # has a tanh layer
+
+    @staticmethod
+    def dataset(n, seed):
+        rng = np.random.default_rng(seed)
+        return Dataset(rng.standard_normal((n, 3)), rng.integers(0, 3, n), 3)
+
+    @staticmethod
+    def check(models, datas, cfgs):
+        outs = finetune_stack(models, datas, cfgs)
+        for model, data, cfg, out in zip(models, datas, cfgs, outs):
+            meta = replace(model.meta, training_epochs=model.meta.training_epochs + cfg.epochs)
+            expected = make_checkpoint(model.specs, reference_sgd(model, data, cfg), meta)
+            assert checkpoints_equal(out, expected)
+
+    @pytest.mark.parametrize("shuffle", [True, False])
+    def test_three_datasets_with_partial_batches_in_different_rounds(self, shuffle):
+        # batches of 16: 50 rows end in 2, 41 in 9 and 64 in none, so the
+        # three epochs are 4, 3 and 4 rounds long; 3 epochs against 5 and 4
+        # make the first model finish early
+        rng = np.random.default_rng(44)
+        models = [random_checkpoint(rng, self.SPECS, scale=0.5) for _ in range(3)]
+        datas = [self.dataset(n, n) for n in (50, 41, 64)]
+        cfgs = [
+            TrainConfig(epochs=e, batch_size=16, learning_rate=lr, seed=s, shuffle=shuffle)
+            for e, lr, s in ((3, 0.05, 1), (5, 0.2, 2), (4, 0.1, 3))
+        ]
+        self.check(models, datas, cfgs)
+
+    @pytest.mark.parametrize("shuffle", [True, False])
+    def test_shared_batches_with_different_rates_and_epochs(self, shuffle):
+        rng = np.random.default_rng(45)
+        models = [random_checkpoint(rng, self.SPECS, scale=0.5) for _ in range(3)]
+        data = self.dataset(50, 7)
+        cfgs = [
+            TrainConfig(epochs=e, batch_size=16, learning_rate=lr, seed=9, shuffle=shuffle)
+            for e, lr in ((2, 0.05), (3, 0.2), (3, 0.1))
+        ]
+        self.check(models, [data] * 3, cfgs)
+
+    @pytest.mark.parametrize("shuffle", [True, False])
+    def test_one_dataset_in_three_batch_orders(self, shuffle):
+        # two seeds and two batch sizes on one dataset: no two models share batches
+        rng = np.random.default_rng(48)
+        models = [random_checkpoint(rng, self.SPECS, scale=0.5) for _ in range(3)]
+        data = self.dataset(50, 10)
+        cfgs = [
+            TrainConfig(epochs=3, batch_size=b, learning_rate=0.1, seed=s, shuffle=shuffle)
+            for b, s in ((16, 1), (16, 2), (10, 1))
+        ]
+        self.check(models, [data] * 3, cfgs)
+
+    def test_zero_epoch_model_comes_back_unchanged(self):
+        rng = np.random.default_rng(46)
+        models = [random_checkpoint(rng, self.SPECS, scale=0.5) for _ in range(2)]
+        data = self.dataset(50, 8)
+        cfgs = [TrainConfig(epochs=0), TrainConfig(epochs=2, batch_size=16, seed=3)]
+        outs = finetune_stack(models, [data] * 2, cfgs)
+        assert outs[0] is models[0]
+        self.check(models[1:], [data], cfgs[1:])
+
+    def test_divergence_of_one_model_raises_numerical_error(self):
+        from otfuse.data import DomainMixtureConfig, gen_synthetic
+
+        data, _ = gen_synthetic(DomainMixtureConfig(), 0)
+        specs = (LayerSpec(8, 16, "relu"), LayerSpec(16, 3, "identity"))
+        models = [init_checkpoint(specs, seed) for seed in (0, 1)]
+        cfgs = [TrainConfig(epochs=50, seed=0), TrainConfig(epochs=50, learning_rate=1e9, seed=1)]
+        with pytest.raises(NumericalError, match="diverged"):
+            finetune_stack(models, [data] * 2, cfgs)
+
+    def test_rejects_mismatched_inputs(self):
+        rng = np.random.default_rng(47)
+        model = random_checkpoint(rng, self.SPECS)
+        other = random_checkpoint(rng, (LayerSpec(3, 4, "relu"), LayerSpec(4, 3, "identity")))
+        data, cfg = self.dataset(50, 9), TrainConfig(epochs=1)
+        for args in (([], [], []), ([model], [data] * 2, [cfg]), ([model, other], [data] * 2, [cfg] * 2)):
+            with pytest.raises(ValidationError):
+                finetune_stack(*args)
 
 
 def test_default_experiment_report_is_pinned():
@@ -473,11 +568,14 @@ def test_default_experiment_report_is_pinned():
     assert digest == "710d2e103eb95f507a5113bbb3dc8961a1afdb4301ae6a9168f209e5a7363cfb"
 
 
-@pytest.mark.parametrize("cfg", [ExperimentConfig(lam=2.0), ExperimentConfig(solver="bogus")])
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(lam=2.0), ExperimentConfig(solver="bogus"), ExperimentConfig(lam="0.5"),
+    ExperimentConfig(train_epochs=0.5),
+])
 def test_experiment_rejects_bad_config_before_training(cfg, monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("trained before the configuration was checked")
 
-    monkeypatch.setattr(experiment, "train", no_training)
+    monkeypatch.setattr(experiment, "finetune_stack", no_training)
     with pytest.raises(ValidationError):
         run_experiment(cfg)

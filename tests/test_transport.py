@@ -338,7 +338,9 @@ class TestSinkhorn:
         assert np.abs(t.sum(axis=1) - 1 / 6).max() <= 1e-10
         assert np.abs(t.sum(axis=0) - 1 / 6).max() <= 1e-10
 
-    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1.0, "0.1", True, 1 + 0j])
+    @pytest.mark.parametrize("eps", [
+        float("nan"), float("inf"), 0.0, -1.0, "0.1", True, 1 + 0j, pytest.param(10**400, id="int-past-float"),
+    ])
     def test_eps_must_be_finite_and_positive(self, eps):
         with pytest.raises(ValidationError):
             solve_sinkhorn(np.eye(3), eps=eps)
