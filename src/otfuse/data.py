@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError, check_int, check_real
+from .errors import FINITE, DataFormatError, ValidationError, check_int, check_real
 
 _SEED_SPACE = 2**64
 
@@ -121,6 +121,8 @@ def gen_synthetic(cfg: DomainMixtureConfig, seed: int) -> tuple[Dataset, Dataset
     for name in ("feature_dim", "train_per_class", "heldout_per_class"):
         check_int(name, getattr(cfg, name), 1)
     check_real("noise_scale", cfg.noise_scale)
+    check_real("domain_shift", cfg.domain_shift, FINITE)
+    check_real("mean_scale", cfg.mean_scale, FINITE)
     if not cfg.domains:
         raise ValidationError("need at least 1 domain")
     for d in cfg.domains:

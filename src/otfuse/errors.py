@@ -12,6 +12,7 @@ import numpy as np
 
 _INTEGERS = (int, np.integer)
 _REALS = (int, float, np.integer, np.floating)
+FINITE = (-sys.float_info.max, sys.float_info.max)  # check_real bounds admitting every finite real
 
 
 class OtfuseError(Exception):
@@ -55,13 +56,17 @@ def check_real(name: str, x, bounds: tuple[float, float] | None = None) -> None:
     that is finite and positive, or lies in the closed interval ``bounds``.
     Strings, NaN and integers past the largest float fail."""
     if isinstance(x, _REALS) and not isinstance(x, bool):
-        if (0 < x <= sys.float_info.max) if bounds is None else (bounds[0] <= x <= bounds[1]):
+        # as a Python number: a float32 compared with the largest float overflows
+        v = x.item() if isinstance(x, np.generic) else x
+        if (0 < v <= sys.float_info.max) if bounds is None else (bounds[0] <= v <= bounds[1]):
             return
     expected = "finite and positive" if bounds is None else f"a real number in [{bounds[0]:g}, {bounds[1]:g}]"
     raise ValidationError(f"{name} must be {expected}, got {x!r}")
 
 
-def check_int(name: str, x, low: int) -> None:
-    """Raise ``ValidationError`` unless ``x`` is an integer, not a bool, of at least ``low``."""
-    if isinstance(x, bool) or not isinstance(x, _INTEGERS) or x < low:
-        raise ValidationError(f"{name} must be an integer >= {low}, got {x!r}")
+def check_int(name: str, x, low: int | None = None) -> None:
+    """Raise ``ValidationError`` unless ``x`` is an integer, not a bool, of
+    at least ``low`` when that is given."""
+    if isinstance(x, bool) or not isinstance(x, _INTEGERS) or (low is not None and x < low):
+        expected = "an integer" if low is None else f"an integer >= {low}"
+        raise ValidationError(f"{name} must be {expected}, got {x!r}")

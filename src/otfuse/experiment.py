@@ -162,6 +162,8 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> dict[str, list[float]]:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if not cfg.seeds:
         raise ValidationError("experiment needs at least one seed")
+    for seed in cfg.seeds:
+        check_int("experiment seed", seed)  # negatives wrap to 64 bits
     if len(set(cfg.seeds)) != len(cfg.seeds):
         raise ValidationError(f"experiment seeds must be distinct, got {list(cfg.seeds)}")
     check_int("train_epochs", cfg.train_epochs, 0)

@@ -16,11 +16,14 @@ algorithm (Computing 38, 1987): column reduction and augmenting row
 reduction warm-start the duals and assign most rows, then one Dijkstra
 shortest augmenting path search per row still free completes the
 matching.  The row reduction runs in rounds in which every free row bids
-at once, as in Bertsekas' auction (Annals of OR 14, 1988).  The solve then
-refines ties to the lexicographically smallest optimal assignment by
-alternating-cycle search, so results are bit-reproducible; columns on no
-alternating cycle are trimmed first, as no other optimal assignment moves
-them.  The whole solve, tie refinement included, is O(m^3).
+at once, as in Bertsekas' auction (Annals of OR 14, 1988).  The searches
+run on a copy of the cost with the free columns first, so a step is one
+``argmin`` and one relaxation; paths are traced back when a search ends.
+The solve then refines ties to the lexicographically smallest optimal
+assignment by alternating-cycle search, so results are bit-reproducible;
+columns on no alternating cycle are trimmed first, as no other optimal
+assignment moves them.  The whole solve, tie refinement included, is
+O(m^3).
 ``solve_sinkhorn`` returns the entropic soft coupling from one scaling loop
 on a kernel that log potentials keep in range for any eps; when the sweeps
 stall near a hard assignment, Newton's method on the log potentials
@@ -196,9 +199,19 @@ def _jonker_volgenant(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
        the winner sets v, takes the column and frees the row that held it.
        Rounds stop when no row is free, or once they have visited 4 m rows
        in total, so they cannot cycle.
-    3. One Dijkstra search on reduced costs per row still free.  Columns
-       tied at the minimum end the search at a free column, and the duals
-       of the scanned columns are updated once, when the search ends.
+    3. One Dijkstra search on reduced costs per row f still free.
+       Columns tied at the minimum end the search at a free column, else
+       the lowest column is scanned; the duals of the scanned columns are
+       updated once, when the search ends.  The searches run on a copy of
+       the cost whose columns free when phase 3 starts come first, each
+       block in ascending order, so ``argmin`` already lands on the lowest
+       free column tied at the minimum.  The tie rule reruns only when it
+       lands on a first-block column a search has since assigned.  A step
+       records its row and offset instead of predecessors: after the
+       search, a path column's predecessor is the first row, in scan order
+       from f, that minimises (c_ij - v_j) + offset over the rows scanned
+       before that column, the row whose relaxation last strictly lowered
+       its distance.
 
     Throughout, every assigned row's column minimises c_ij - v_j over j,
     so u_i = c_i,col(i) - v_col(i) completes a feasible dual that is tight
@@ -223,7 +236,8 @@ def _jonker_volgenant(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     while free.size and visits < 4 * n:
         visits += free.size
         rk = np.arange(free.size)
-        h = cost[free] - v
+        h = cost.take(free, axis=0)
+        h -= v
         j1 = h.argmin(axis=1)
         h1 = h[rk, j1]
         h[rk, j1] = np.inf
@@ -232,9 +246,11 @@ def _jonker_volgenant(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
         strict = h1 < h2
         j = np.where(strict | (row_for_col[j1] < 0), j1, j2)
         bid = np.where(strict, v[j1] - (h2 - h1), v[j])
-        # each column goes to its lowest bid, ties to the lowest row
+        # each column goes to its lowest bid, ties to the lowest row: the
+        # first entry of its run in the sorted order
         order = np.lexsort((free, bid, j))
-        win = order[np.unique(j[order], return_index=True)[1]]
+        js = j[order]
+        win = order[np.flatnonzero(np.concatenate(([True], js[1:] != js[:-1])))]
         cols, rows = j[win], free[win]
         v[cols] = bid[win]
         held = row_for_col[cols]
@@ -243,42 +259,72 @@ def _jonker_volgenant(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
         col_for_row[rows] = cols
         free = np.flatnonzero(col_for_row < 0)
 
-    pred = np.empty(n, dtype=np.int64)
+    # Phase 3 runs on positions: position p holds column perm[p], the
+    # `lead` columns free now first, each block in ascending order.  take
+    # keeps the copy's rows contiguous, where c[:, perm] is F-ordered.
+    lead = int(np.count_nonzero(row_for_col < 0))
+    perm = np.argsort(row_for_col >= 0, kind="stable")
+    c = cost.take(perm, axis=1)
+    vp = v[perm]
+    row_at = row_for_col[perm].tolist()
+    pos_for_row = np.argsort(perm)[col_for_row].tolist()  # stale for free rows until assigned
+    open_pos = list(range(lead))  # positions of the columns still free
     h = np.empty(n)
-    for f in free:
-        free_cols = np.flatnonzero(row_for_col < 0)
-        d = cost[f] - v  # tentative distances; +inf once a column is scanned
-        w = v.copy()  # -inf on scanned columns, so relaxing never reaches them
-        pred[:] = f
-        scanned, dist = [], []
+    inf = math.inf
+    for f in free.tolist():
+        d = c[f] - vp  # tentative distances; +inf once a position is scanned
+        w = vp.copy()  # -inf on scanned positions, so relaxing never reaches them
+        rows, offs, scanned, dist = [f], [0.0], [], []
         while True:
             j = int(d.argmin())
-            mu = d[j]
-            if row_for_col[j] >= 0:
-                at_free = d[free_cols]
+            mu = d.item(j)
+            i = row_at[j]
+            if i >= 0 and j < lead:
+                # a first-block column a search has since assigned: rerun
+                # the tie rule, the lowest free column at mu, else the
+                # lowest column, which is j or the second block's first
+                at_free = d[open_pos]
                 k = int(at_free.argmin())
                 if at_free[k] <= mu:
-                    j = int(free_cols[k])
-            if row_for_col[j] < 0:
+                    j = open_pos[k]
+                else:
+                    k = lead + int(d[lead:].argmin())
+                    if d[k] == mu and perm[k] < perm[j]:
+                        j = k
+                i = row_at[j]
+            if i < 0:
                 break
+            off = mu - (c.item(i, j) - vp.item(j))
             scanned.append(j)
             dist.append(mu)
-            d[j] = np.inf
-            w[j] = -np.inf
-            i = row_for_col[j]
-            np.subtract(cost[i], w, out=h)
-            h += mu - (cost[i, j] - v[j])
-            better = h < d
+            rows.append(i)
+            offs.append(off)
+            d[j] = inf
+            w[j] = -inf
+            np.subtract(c[i], w, out=h)
+            h += off
             np.minimum(d, h, out=d)
-            pred[better] = i
-        v[scanned] += np.asarray(dist) - mu
-        while True:
-            i = int(pred[j])
-            row_for_col[j] = i
-            j, col_for_row[i] = int(col_for_row[i]), j
-            if i == f:
-                break
+        # A position's predecessor is the first row, in scan order, whose
+        # relaxation gave its final distance; only the rows scanned before
+        # it reached it.  rows[t] is the row that held scanned[t - 1].
+        open_pos.remove(j)
+        rows_a, offs_a = np.array(rows), np.array(offs)
+        t = len(rows)
+        while t:
+            if t > 1:
+                h_j = c[rows_a[:t], j] - vp[j]
+                h_j += offs_a[:t]
+                t = int(h_j.argmin())
+            else:
+                t = 0
+            i = rows[t]
+            row_at[j] = i
+            j, pos_for_row[i] = pos_for_row[i], j
+        if scanned:
+            vp[scanned] += np.asarray(dist) - mu
 
+    col_for_row = perm[pos_for_row]
+    v[perm] = vp
     u = cost[np.arange(n), col_for_row] - v[col_for_row]
     return col_for_row, u, v, len(free)
 

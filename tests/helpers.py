@@ -224,6 +224,89 @@ def reference_lap(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return col_for_row, u, v
 
 
+# The Jonker-Volgenant oracle: solve_exact's solver before its phase-3
+# steps reordered columns and rebuilt predecessors after each search.
+# Its output, duals included, is what that solver must reproduce bit
+# for bit.
+def reference_jonker_volgenant(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The Jonker-Volgenant solver as it was before its Dijkstra steps ran
+    on reordered columns: each step tests the free columns for a tie and
+    scatters predecessors.  Same phases 1 and 2 as ``_jonker_volgenant``,
+    and the same (col_for_row, u, v, searches)."""
+    n = cost.shape[0]
+    col_for_row = np.full(n, -1, dtype=np.int64)
+    row_for_col = np.full(n, -1, dtype=np.int64)
+    v = cost.min(axis=0)
+    # the last column with argmin row i is the first one the reversed scan meets
+    rows, first = np.unique(cost.argmin(axis=0)[::-1], return_index=True)
+    col_for_row[rows] = n - 1 - first
+    row_for_col[n - 1 - first] = rows
+    free = np.flatnonzero(col_for_row < 0)
+
+    visits = 0
+    while free.size and visits < 4 * n:
+        visits += free.size
+        rk = np.arange(free.size)
+        h = cost[free] - v
+        j1 = h.argmin(axis=1)
+        h1 = h[rk, j1]
+        h[rk, j1] = np.inf
+        j2 = h.argmin(axis=1)
+        h2 = h[rk, j2]
+        strict = h1 < h2
+        j = np.where(strict | (row_for_col[j1] < 0), j1, j2)
+        bid = np.where(strict, v[j1] - (h2 - h1), v[j])
+        # each column goes to its lowest bid, ties to the lowest row
+        order = np.lexsort((free, bid, j))
+        win = order[np.unique(j[order], return_index=True)[1]]
+        cols, rows = j[win], free[win]
+        v[cols] = bid[win]
+        held = row_for_col[cols]
+        col_for_row[held[held >= 0]] = -1
+        row_for_col[cols] = rows
+        col_for_row[rows] = cols
+        free = np.flatnonzero(col_for_row < 0)
+
+    pred = np.empty(n, dtype=np.int64)
+    h = np.empty(n)
+    for f in free:
+        free_cols = np.flatnonzero(row_for_col < 0)
+        d = cost[f] - v  # tentative distances; +inf once a column is scanned
+        w = v.copy()  # -inf on scanned columns, so relaxing never reaches them
+        pred[:] = f
+        scanned, dist = [], []
+        while True:
+            j = int(d.argmin())
+            mu = d[j]
+            if row_for_col[j] >= 0:
+                at_free = d[free_cols]
+                k = int(at_free.argmin())
+                if at_free[k] <= mu:
+                    j = int(free_cols[k])
+            if row_for_col[j] < 0:
+                break
+            scanned.append(j)
+            dist.append(mu)
+            d[j] = np.inf
+            w[j] = -np.inf
+            i = row_for_col[j]
+            np.subtract(cost[i], w, out=h)
+            h += mu - (cost[i, j] - v[j])
+            better = h < d
+            np.minimum(d, h, out=d)
+            pred[better] = i
+        v[scanned] += np.asarray(dist) - mu
+        while True:
+            i = int(pred[j])
+            row_for_col[j] = i
+            j, col_for_row[i] = int(col_for_row[i]), j
+            if i == f:
+                break
+
+    u = cost[np.arange(n), col_for_row] - v[col_for_row]
+    return col_for_row, u, v, len(free)
+
+
 # The Sinkhorn oracle: the earlier two-path solver, a plain kernel loop and a
 # log-domain loop chosen by max(cost) / eps, each forming the full coupling
 # and checking both marginals every iteration.

@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -65,10 +66,18 @@ class TestGenSynthetic:
 
     @pytest.mark.parametrize("field, value", [
         ("num_classes", 2.5), ("noise_scale", "1"), ("train_per_class", True),
+        *[(field, value) for field in ("domain_shift", "mean_scale")
+          for value in ("2", True, math.nan, math.inf, -math.inf)],
     ])
     def test_bad_argument_type_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):
             gen_synthetic(DomainMixtureConfig(**{field: value}), 0)
+
+    @pytest.mark.parametrize("value", [0.0, -1.5, 3, np.float32(0.5), np.int64(-2)])
+    def test_any_finite_shift_and_scale_accepted(self, value):
+        cfg = DomainMixtureConfig(domain_shift=value, mean_scale=value)
+        train, _ = gen_synthetic(cfg, 0)
+        assert np.isfinite(train.features).all()
 
     def test_no_domains_rejected(self):
         with pytest.raises(ValidationError):

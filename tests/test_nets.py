@@ -256,6 +256,11 @@ class TestTrain:
         with pytest.raises(ValidationError):
             TrainConfig(**{field: value})
 
+    def test_config_accepts_numpy_scalars(self):
+        # a float32 rate is compared as a Python float: no overflow warning
+        cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(4), learning_rate=np.float32(0.1))
+        assert cfg.learning_rate == np.float32(0.1)
+
     def test_records_seed_in_meta(self):
         rng = np.random.default_rng(5)
         data = two_blob_dataset(rng)
@@ -570,7 +575,8 @@ def test_default_experiment_report_is_pinned():
 
 @pytest.mark.parametrize("cfg", [
     ExperimentConfig(lam=2.0), ExperimentConfig(solver="bogus"), ExperimentConfig(lam="0.5"),
-    ExperimentConfig(train_epochs=0.5),
+    ExperimentConfig(train_epochs=0.5), ExperimentConfig(seeds=(0.5,)), ExperimentConfig(seeds=(True,)),
+    ExperimentConfig(seeds=("1",)), ExperimentConfig(domain_shift="2"),
 ])
 def test_experiment_rejects_bad_config_before_training(cfg, monkeypatch):
     def no_training(*args, **kwargs):
@@ -579,3 +585,11 @@ def test_experiment_rejects_bad_config_before_training(cfg, monkeypatch):
     monkeypatch.setattr(experiment, "finetune_stack", no_training)
     with pytest.raises(ValidationError):
         run_experiment(cfg)
+
+
+def test_negative_seed_wraps_to_64_bits():
+    cfg = ExperimentConfig(train_epochs=1, finetune_epochs=1)
+    wrapped = run_experiment(replace(cfg, seeds=(-1,)))
+    unsigned = run_experiment(replace(cfg, seeds=(2**64 - 1,)))
+    for method, scores in wrapped.per_seed.items():
+        assert np.array_equal(scores, unsigned.per_seed[method])

@@ -20,7 +20,26 @@ from otfuse.transport import (
     validate_transport_map,
 )
 from helpers import _lex_smallest_assignment as kuhn_lex_assignment
-from helpers import reference_lap, reference_sinkhorn, sweeps_only_sinkhorn
+from helpers import reference_jonker_volgenant, reference_lap, reference_sinkhorn, sweeps_only_sinkhorn
+
+
+def tie_panel_cost(rng, m: int, kind: int) -> np.ndarray:
+    """An m x m cost of one of six kinds, most of them rich in ties."""
+    if kind == 0:
+        return rng.uniform(0, 1, (m, m))
+    if kind == 1:
+        return rng.integers(0, 3, (m, m)).astype(np.float64)
+    if kind == 2:
+        return np.zeros((m, m))
+    if kind == 3:
+        return rng.uniform(0, 1, (m, m))[rng.integers(0, m, m)]
+    if kind == 4:
+        return rng.uniform(0, 1, m)[:, None] + rng.uniform(0, 1, m)[None, :]
+    # pruned-like: half the rows of A are zero and B permutes A's rows
+    a = rng.standard_normal((m, 6))
+    a[rng.permutation(m)[: m // 2]] = 0.0
+    b = a[rng.permutation(m)]
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
 
 
 def naive_objective(t, d):
@@ -175,22 +194,7 @@ class TestTieRefinement:
         panel += [(int(rng.integers(64, 257)), kind) for kind in (1, 3, 5, 1, 3, 5)]
         panel += [(96, 4)]
         for m, kind in panel:
-            if kind == 0:
-                d = rng.uniform(0, 1, (m, m))
-            elif kind == 1:
-                d = rng.integers(0, 3, (m, m)).astype(np.float64)
-            elif kind == 2:
-                d = np.zeros((m, m))
-            elif kind == 3:
-                d = rng.uniform(0, 1, (m, m))[rng.integers(0, m, m)]
-            elif kind == 4:
-                d = rng.uniform(0, 1, m)[:, None] + rng.uniform(0, 1, m)[None, :]
-            else:
-                # pruned-like: half the rows of A are zero and B permutes A's rows
-                a = rng.standard_normal((m, 6))
-                a[rng.permutation(m)[: m // 2]] = 0.0
-                b = a[rng.permutation(m)]
-                d = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+            d = tie_panel_cost(rng, m, kind)
             tol = 1e-9 * max(1.0, float(d.max()))
             col, u, v, _ = _jonker_volgenant(d)
             reduced = d - u[:, None] - v[None, :]
@@ -244,6 +248,63 @@ class TestTieRefinement:
             rows, cols = scipy_optimize.linear_sum_assignment(d)
             expected = d[rows, cols].sum() / m
             assert solve_exact(d).objective == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
+def assert_matches_jv_oracle(d: np.ndarray) -> int:
+    """``_jonker_volgenant`` returns the oracle's assignment, duals and
+    search count, bit for bit; returns the search count."""
+    got = _jonker_volgenant(d)
+    want = reference_jonker_volgenant(d)
+    assert np.array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2].tobytes() == want[2].tobytes()
+    assert got[3] == want[3]
+    return got[3]
+
+
+class TestJonkerVolgenantOracle:
+    """Phase 3 scans reordered columns and rebuilds predecessors after each
+    search; its output must not move by a bit."""
+
+    def test_tie_panel_matches_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        panel = [(int(rng.integers(1, 49)), trial % 6) for trial in range(300)]
+        panel += [(int(rng.integers(64, 257)), kind) for kind in (1, 3, 5)] + [(96, 4)]
+        searches = [assert_matches_jv_oracle(tie_panel_cost(rng, m, kind)) for m, kind in panel]
+        assert sum(s > 0 for s in searches) > 100
+
+    def test_benchmark_shaped_costs_match_oracle(self):
+        rng = np.random.default_rng(7)
+        # width-256 dense layers, input width 8 and 256, as align_wide's
+        for k in (8, 256):
+            d = transport.row_distance_matrix(rng.standard_normal((256, k)), rng.standard_normal((256, k)))
+            assert assert_matches_jv_oracle(d) > 0
+        # width-128 layers with half the units zeroed, as align_pruned's
+        for _ in range(2):
+            a, b = rng.standard_normal((2, 128, 128))
+            a[rng.permutation(128)[:64]] = 0.0
+            b[rng.permutation(128)[:64]] = 0.0
+            assert assert_matches_jv_oracle(transport.row_distance_matrix(a, b)) > 0
+
+    def test_tie_repick_matches_oracle(self):
+        # A search's argmin lands on a column that was free when phase 3
+        # began and is assigned now; the tie rule must pick a free column
+        # tied with it, or a lower assigned one.  Skipping either half of
+        # that repick changes the output.
+        d = np.array([
+            [0, 0, 0, 2, 0, 0, 0, 0, 0, 2, 0],
+            [0, 2, 2, 2, 0, 2, 1, 1, 2, 0, 2],
+            [1, 2, 2, 0, 0, 0, 0, 0, 1, 2, 2],
+            [2, 0, 0, 1, 1, 1, 1, 2, 1, 2, 0],
+            [2, 2, 0, 0, 0, 0, 0, 2, 2, 1, 2],
+            [1, 1, 0, 1, 1, 2, 1, 0, 0, 1, 2],
+            [0, 0, 2, 1, 2, 2, 1, 2, 0, 1, 0],
+            [0, 1, 0, 1, 0, 0, 2, 2, 2, 0, 2],
+            [1, 2, 1, 0, 0, 1, 1, 2, 2, 0, 2],
+            [0, 0, 1, 1, 2, 1, 2, 0, 2, 1, 0],
+            [2, 0, 0, 1, 0, 2, 2, 2, 2, 0, 1],
+        ], dtype=np.float64)
+        assert assert_matches_jv_oracle(d) > 0
 
 
 class TestBruteForce:
