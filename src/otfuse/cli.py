@@ -136,6 +136,7 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
+    check_writable(args.out)
     aligned = load_checkpoint(args.aligned)
     model_b = load_checkpoint(args.ckpt_b)
     fused = fuse(aligned, model_b, args.lam)
@@ -193,6 +194,7 @@ def _cmd_wer(args) -> int:
 
 
 def _cmd_landscape(args) -> int:
+    check_writable(args.out)
     ckpt0 = load_checkpoint(args.ckpt0)
     ckpt1 = load_checkpoint(args.ckpt1)
     data = load_dataset_csv(args.data, ckpt0.specs[-1].out_dim)

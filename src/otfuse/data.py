@@ -46,6 +46,7 @@ class Dataset:
     def __post_init__(self):
         object.__setattr__(self, "features", frozen_copy(self.features))
         object.__setattr__(self, "labels", frozen_copy(self.labels, np.int64))
+        check_int("num_classes", self.num_classes, 1)
         object.__setattr__(self, "num_classes", int(self.num_classes))
         if self.features.ndim != 2:
             raise ValidationError(f"features must be 2-D, got {self.features.shape}")
@@ -58,8 +59,6 @@ class Dataset:
                 f"labels shape {self.labels.shape} does not match "
                 f"{self.features.shape[0]} samples"
             )
-        if self.num_classes < 1:
-            raise ValidationError("num_classes must be positive")
         if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
             raise ValidationError(
                 f"labels must lie in [0, {self.num_classes}), "

@@ -160,8 +160,8 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> dict[str, list[float]]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    if not cfg.seeds:
-        raise ValidationError("experiment needs at least one seed")
+    if not isinstance(cfg.seeds, (tuple, list)) or not cfg.seeds:
+        raise ValidationError(f"experiment seeds must be a non-empty tuple or list, got {cfg.seeds!r}")
     for seed in cfg.seeds:
         check_int("experiment seed", seed)  # negatives wrap to 64 bits
     if len(set(cfg.seeds)) != len(cfg.seeds):

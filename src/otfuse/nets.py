@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, frozen_copy, seeded_rng
-from .errors import NumericalError, ValidationError, check_int, check_real
+from .errors import FINITE, NumericalError, ValidationError, check_int, check_real
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 
@@ -323,14 +323,14 @@ def finetune(ckpt: Checkpoint, data: Dataset, cfg: TrainConfig) -> Checkpoint:
     return finetune_stack([ckpt], [data], [cfg])[0]
 
 
-def _minibatches(data: Dataset, cfg: TrainConfig, epochs: int):
-    """``epochs`` epochs of (features, one-hot labels) minibatches in the
+def _minibatches(data: Dataset, cfg: TrainConfig):
+    """``cfg.epochs`` epochs of (features, one-hot labels) minibatches in the
     batch order ``cfg`` sets.  A shuffled epoch gathers its rows once, so a
     minibatch is two slices."""
     rng = seeded_rng(cfg.seed)
     x, y = data.features, np.eye(data.num_classes)[data.labels]
     n, size = x.shape[0], cfg.batch_size
-    for _ in range(epochs):
+    for _ in range(cfg.epochs):
         if cfg.shuffle:
             order = rng.permutation(n)
             ex, ey = x[order], y[order]
@@ -345,17 +345,17 @@ def finetune_stack(ckpts, datas, cfgs) -> list[Checkpoint]:
     with ``cfgs[i]``.  Each result is bit-identical to ``finetune`` run alone,
     and a model with 0 epochs comes back as the same object.
 
-    The models' parameters are one (K, P) stack, and the models advance in
-    lockstep, one minibatch each per round.  A round in which every model
-    has a batch of the same row count is one stacked step: (K, B, k) @
-    (K, k, h) products, then one multiply by the K x 1 learning-rate column
-    and one subtract.  Any other round (a partial last batch, or a model
-    that has finished its epochs) steps each model alone on its row, as
-    every round of a stack of one does, with one model's 2-D products.  Models
-    that draw the same batches (one dataset, seed, shuffle and batch size)
-    share one gather per epoch, and a stacked step broadcasts that batch.
-    One finiteness check of the stack after the last round catches
-    divergence.
+    The models' parameters are one (K, P) stack.  Each distinct pair of
+    dataset and config is one ``_minibatches`` stream, shared by the models
+    that have that pair, and a model has finished when its stream runs out.
+    The streams advance in lockstep, one minibatch each per round.  A round
+    in which no stream has run out and every batch has the same row count
+    is one stacked step: (K, B, k) @ (K, k, h) products (one shared stream's
+    batch broadcasts), then one multiply by the K x 1 learning-rate column
+    and one subtract.  Any other round (a partial last batch, or a finished
+    model) steps each model that has a batch alone on its row, as every
+    round of a stack of one does, with one model's 2-D products.  One
+    finiteness check of the stack after the last round catches divergence.
     """
     ckpts, datas, cfgs = list(ckpts), list(datas), list(cfgs)
     if not ckpts or len(datas) != len(ckpts) or len(cfgs) != len(ckpts):
@@ -367,36 +367,21 @@ def finetune_stack(ckpts, datas, cfgs) -> list[Checkpoint]:
     for ckpt, data in zip(ckpts, datas):
         check_same_specs(ckpts[0], ckpt, "finetune_stack")
         check_model_data(specs, data)
-    trained = [i for i, cfg in enumerate(cfgs) if cfg.epochs > 0]
-    results = list(ckpts)
-    if not trained:
-        return results
+    streams = {}  # (dataset, config) -> index of its batch stream
+    src = [streams.setdefault(pair, len(streams)) for pair in zip(datas, cfgs)]
 
-    orders, src = {}, []  # models that draw the same batches share one source
-    for i in trained:
-        key = (id(datas[i]), cfgs[i].seed, cfgs[i].shuffle, cfgs[i].batch_size)
-        src.append(orders.setdefault(key, len(orders)))
-    batches = []
-    for s in range(len(orders)):
-        members = [i for t, i in zip(src, trained) if t == s]
-        epochs = max(cfgs[i].epochs for i in members)
-        batches.append(_minibatches(datas[members[0]], cfgs[members[0]], epochs))
-    steps = [cfgs[i].epochs * -(-datas[i].features.shape[0] // cfgs[i].batch_size) for i in trained]
-
-    theta = _flatten([ckpts[i] for i in trained])
-    grad, step = np.empty_like(theta), np.empty_like(theta)
+    theta = _flatten(ckpts)
+    grad = np.empty_like(theta)
     params, grads = _params(specs, theta), _layout(specs, grad)
-    rate = np.array([[cfgs[i].learning_rate] for i in trained])
-    alone = [  # each model's source, step count and rows, for the rounds it steps alone
-        (s, n, _params(specs, theta[k]), _layout(specs, grad[k]),
-         theta[k], grad[k], step[k], cfgs[i].learning_rate)
-        for k, (i, s, n) in enumerate(zip(trained, src, steps))
+    rate = np.array([[cfg.learning_rate] for cfg in cfgs])
+    alone = [  # each model's stream and rows, for the rounds it steps alone
+        (s, _params(specs, theta[k]), _layout(specs, grad[k]), theta[k], grad[k], cfg.learning_rate)
+        for k, (s, cfg) in enumerate(zip(src, cfgs))
     ]
-    # a stack of one steps alone, so a single model runs the 2-D kernel
-    together = min(steps) if len(trained) > 1 else 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for r, drawn in enumerate(itertools.zip_longest(*batches)):
-            if r < together and (len(drawn) == 1 or len({len(x) for x, _ in drawn}) == 1):
+        for drawn in itertools.zip_longest(*(_minibatches(*pair) for pair in streams)):
+            # a stack of one steps alone, so a single model runs the 2-D kernel
+            if len(ckpts) > 1 and None not in drawn and len({len(x) for x, _ in drawn}) == 1:
                 if len(drawn) == 1:
                     x, y = drawn[0]
                 else:
@@ -405,26 +390,27 @@ def finetune_stack(ckpts, datas, cfgs) -> list[Checkpoint]:
                     for k, s in enumerate(src):
                         x[k], y[k] = drawn[s]
                 _backprop(specs, params, grads, x, y)
-                np.multiply(grad, rate, out=step)
-                theta -= step
+                grad *= rate
+                theta -= grad
                 continue
-            for s, n, p, g, th, gr, st, lr in alone:
-                if r < n:
+            for s, p, g, th, gr, lr in alone:
+                if drawn[s] is not None:
                     _backprop(specs, p, g, *drawn[s])
-                    np.multiply(gr, lr, out=st)
-                    th -= st
+                    gr *= lr
+                    th -= gr
     if not np.isfinite(theta).all():
         raise NumericalError(
             "training diverged to non-finite weights; lower the learning rate"
         )
     views = _layout(specs, theta)
-    for k, i in enumerate(trained):
-        meta = replace(
-            ckpts[i].meta, training_epochs=ckpts[i].meta.training_epochs + cfgs[i].epochs
+    return [
+        ckpt if cfg.epochs == 0 else make_checkpoint(  # copies, so theta is not shared
+            specs,
+            [LayerWeights(w[k], b[k]) for w, b in views],
+            replace(ckpt.meta, training_epochs=ckpt.meta.training_epochs + cfg.epochs),
         )
-        layers = [LayerWeights(w[k], b[k]) for w, b in views]
-        results[i] = make_checkpoint(specs, layers, meta)  # copies, so theta is not shared
-    return results
+        for k, (ckpt, cfg) in enumerate(zip(ckpts, cfgs))
+    ]
 
 
 def blend_layers(ckpt0: Checkpoint, ckpt1: Checkpoint, alpha: float) -> list[LayerWeights]:
@@ -442,6 +428,7 @@ def blend_layers(ckpt0: Checkpoint, ckpt1: Checkpoint, alpha: float) -> list[Lay
 def interpolate(ckpt0: Checkpoint, ckpt1: Checkpoint, alpha: float) -> Checkpoint:
     """Affine blend ``(1 - alpha) * ckpt0 + alpha * ckpt1``, layer by layer."""
     check_same_specs(ckpt0, ckpt1, "interpolate")
+    check_real("alpha", alpha, FINITE)
     meta = CheckpointMeta(
         seed=ckpt0.meta.seed,
         training_epochs=0,

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .data import Dataset, read_lines
-from .errors import DataFormatError, ValidationError
+from .errors import DataFormatError, ValidationError, check_int
 from .nets import (
     Checkpoint,
     accuracy_from_logits,
@@ -205,8 +205,9 @@ def landscape(theta0: Checkpoint, theta: Checkpoint, data: Dataset, num_points: 
     The grid is uniform over [0, 1] and always contains both endpoints, so
     the first and last losses equal direct evaluations of the inputs.
     """
-    if num_points < 2:
-        raise ValidationError("num_points must be >= 2")
+    check_int("num_points", num_points, 2)
+    if num_points > np.iinfo(np.intp).max // 8:
+        raise ValidationError(f"num_points is too large for one float64 array: {num_points}")
     alphas = np.linspace(0.0, 1.0, num_points)
     losses = np.array(
         [loss(interpolate(theta0, theta, float(a)), data) for a in alphas]

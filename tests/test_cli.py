@@ -464,6 +464,23 @@ class TestExitCodes:
         assert calls == []
         assert sorted(workdir.rglob("*")) == before
 
+    @pytest.mark.parametrize("command", ["fuse", "landscape"])
+    def test_unwritable_out_is_two_before_loading(self, workdir, capsys, monkeypatch, command):
+        model = str(workdir / "model.json")
+        assert main(["train", str(workdir / "arch.json"), str(workdir / "train.csv"),
+                     "--epochs", "1", "--out", model]) == 0
+
+        def not_called(*args, **kwargs):
+            raise AssertionError(f"{command} ran before its --out was checked")
+
+        monkeypatch.setattr(cli, command, not_called)
+        before = sorted(workdir.rglob("*"))
+        capsys.readouterr()
+        extra = [str(workdir / "held.csv"), "--points", "5"] if command == "landscape" else []
+        assert main([command, model, model, *extra, "--out", str(workdir / "missing" / "x.out")]) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+        assert sorted(workdir.rglob("*")) == before
+
     def test_shape_mismatch_is_two(self, workdir, capsys):
         rng = np.random.default_rng(0)
         ckpt = random_checkpoint(rng, (LayerSpec(4, 2, "identity"),))

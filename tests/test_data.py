@@ -108,6 +108,11 @@ class TestDatasetValidation:
         assert ds.features.dtype == np.float64 and ds.labels.dtype == np.int64
         assert type(ds.num_classes) is int
 
+    @pytest.mark.parametrize("num_classes", ["3", 2.9, True, 0], ids=["str", "float", "bool", "zero"])
+    def test_num_classes_must_be_a_positive_integer(self, num_classes):
+        with pytest.raises(ValidationError, match="num_classes"):
+            Dataset(np.zeros((2, 2)), np.array([0, 0]), num_classes)
+
     def test_concat_disagreement(self):
         a = Dataset(np.zeros((2, 2)), np.array([0, 1]), 2)
         b = Dataset(np.zeros((2, 3)), np.array([0, 1]), 2)

@@ -388,6 +388,23 @@ class TestInterpolate:
         with pytest.raises(ValidationError):
             interpolate(a, b, 0.5)
 
+    @pytest.mark.parametrize("alpha", ["0.5", True, 10**400, float("nan"), float("inf")],
+                             ids=["str", "bool", "huge-int", "nan", "inf"])
+    def test_alpha_must_be_a_finite_real(self, alpha):
+        rng = np.random.default_rng(11)
+        specs = random_specs(rng, in_dim=3)
+        a, b = random_checkpoint(rng, specs), random_checkpoint(rng, specs)
+        with pytest.raises(ValidationError, match="alpha"):
+            interpolate(a, b, alpha)
+
+    def test_alpha_outside_the_unit_interval_extrapolates(self):
+        rng = np.random.default_rng(12)
+        specs = random_specs(rng, in_dim=3)
+        a, b = random_checkpoint(rng, specs), random_checkpoint(rng, specs)
+        for alpha in (-0.5, 2, np.float32(1.5)):
+            out = interpolate(a, b, alpha)
+            assert np.array_equal(out.layers[0].w, (1.0 - alpha) * a.layers[0].w + alpha * b.layers[0].w)
+
 
 def reference_sgd(ckpt, data, cfg):
     """Minibatch SGD written against the public API: one ``loss_gradients``
@@ -561,6 +578,47 @@ class TestFinetuneStack:
                 finetune_stack(*args)
 
 
+class TestBatchStreams:
+    """One ``_minibatches`` stream per distinct (dataset, config) pair."""
+
+    @staticmethod
+    def streams_opened(monkeypatch, models, datas, cfgs):
+        minibatches, opened = nets._minibatches, []
+        monkeypatch.setattr(
+            nets, "_minibatches", lambda data, cfg: opened.append((data, cfg)) or minibatches(data, cfg)
+        )
+        return finetune_stack(models, datas, cfgs), opened
+
+    def test_one_dataset_and_config_open_one_stream(self, monkeypatch):
+        rng = np.random.default_rng(50)
+        models = [random_checkpoint(rng, TestFinetuneStack.SPECS, scale=0.5) for _ in range(4)]
+        data, cfg = TestFinetuneStack.dataset(50, 11), TrainConfig(epochs=2, batch_size=16, seed=4)
+        _, opened = self.streams_opened(monkeypatch, models, [data] * 4, [cfg] * 4)
+        assert len(opened) == 1
+
+    def test_configs_that_differ_in_seed_open_two_streams(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        models = [random_checkpoint(rng, TestFinetuneStack.SPECS, scale=0.5) for _ in range(2)]
+        data = TestFinetuneStack.dataset(50, 12)
+        cfgs = [TrainConfig(epochs=2, batch_size=16, seed=s) for s in (1, 2)]
+        _, opened = self.streams_opened(monkeypatch, models, [data] * 2, cfgs)
+        assert len(opened) == 2
+
+    def test_zero_epoch_model_in_a_mixed_stack_is_returned_as_is(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        models = [random_checkpoint(rng, TestFinetuneStack.SPECS, scale=0.5) for _ in range(3)]
+        data = TestFinetuneStack.dataset(41, 13)
+        cfgs = [TrainConfig(epochs=2, batch_size=16, seed=1), TrainConfig(epochs=0),
+                TrainConfig(epochs=3, batch_size=16, seed=2)]
+        outs, opened = self.streams_opened(monkeypatch, models, [data] * 3, cfgs)
+        assert len(opened) == 3
+        assert outs[1] is models[1]
+        for k in (0, 2):
+            meta = replace(models[k].meta, training_epochs=models[k].meta.training_epochs + cfgs[k].epochs)
+            expected = make_checkpoint(models[k].specs, reference_sgd(models[k], data, cfgs[k]), meta)
+            assert checkpoints_equal(outs[k], expected)
+
+
 def test_default_experiment_report_is_pinned():
     """The report's bytes at the default configuration and seed 0.  Values
     print with 6 significant digits, so BLAS thread count does not move it."""
@@ -577,6 +635,7 @@ def test_default_experiment_report_is_pinned():
     ExperimentConfig(lam=2.0), ExperimentConfig(solver="bogus"), ExperimentConfig(lam="0.5"),
     ExperimentConfig(train_epochs=0.5), ExperimentConfig(seeds=(0.5,)), ExperimentConfig(seeds=(True,)),
     ExperimentConfig(seeds=("1",)), ExperimentConfig(domain_shift="2"),
+    ExperimentConfig(seeds=np.arange(2)), ExperimentConfig(seeds=5), ExperimentConfig(seeds=0),
 ])
 def test_experiment_rejects_bad_config_before_training(cfg, monkeypatch):
     def no_training(*args, **kwargs):

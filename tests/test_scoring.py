@@ -363,6 +363,13 @@ class TestLandscape:
         with pytest.raises(ValidationError):
             landscape(theta0, theta, he, num_points=1)
 
+    @pytest.mark.parametrize("num_points", ["3", 2.5, True, 10**20], ids=["str", "float", "bool", "huge"])
+    def test_num_points_must_be_an_integer_that_fits_an_array(self, num_points):
+        specs = (LayerSpec(6, 10, "relu"), LayerSpec(10, 3, "identity"))
+        data, _ = gen_synthetic(DomainMixtureConfig(num_classes=3, feature_dim=6, domains=(0,)), 0)
+        with pytest.raises(ValidationError, match="num_points"):
+            landscape(init_checkpoint(specs, 0), init_checkpoint(specs, 1), data, num_points)
+
 
 class TestFileFormats:
     def test_reference_and_hypothesis_roundtrip(self, tmp_path):
