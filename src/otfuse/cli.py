@@ -9,7 +9,6 @@ rates, which print as percentages with one decimal.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -37,7 +36,7 @@ from .scoring import (
     selected_set,
     write_landscape_csv,
 )
-from .serialize import check_writable, json_int, load_checkpoint, save_checkpoint, save_maps
+from .serialize import check_writable, json_int, load_checkpoint, read_json, save_checkpoint, save_maps
 
 
 def _fmt(x: float) -> str:
@@ -58,11 +57,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_arch(path) -> tuple[LayerSpec, ...]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise DataFormatError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
+    doc = read_json(path)
     if not isinstance(doc, list) or not doc:
         raise DataFormatError(f"{path}: architecture file must be a non-empty JSON list")
     try:

@@ -44,8 +44,11 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self):
+        labels = np.asarray(self.labels)
+        if labels.size and labels.dtype.kind not in "iu":
+            raise ValidationError(f"labels must be integers, got dtype {labels.dtype}")
         object.__setattr__(self, "features", frozen_copy(self.features))
-        object.__setattr__(self, "labels", frozen_copy(self.labels, np.int64))
+        object.__setattr__(self, "labels", frozen_copy(labels, np.int64))
         check_int("num_classes", self.num_classes, 1)
         object.__setattr__(self, "num_classes", int(self.num_classes))
         if self.features.ndim != 2:

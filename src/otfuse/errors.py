@@ -30,17 +30,9 @@ class DataFormatError(ValidationError):
 class CheckpointFormatError(DataFormatError):
     """Checkpoint payload is corrupt or disagrees with its own specs."""
 
-    code = "corrupt_payload"
-
-    def __init__(self, message: str, code: str = "corrupt_payload"):
-        super().__init__(message)
-        self.code = code
-
 
 class CheckpointVersionError(DataFormatError):
     """Checkpoint carries an unrecognized format version."""
-
-    code = "unknown_version"
 
 
 class NumericalError(OtfuseError):

@@ -6,8 +6,9 @@ map, then solves a transport problem between the (aligned) rows of A and
 the rows of B, on the Euclidean cost ``transport.row_distance_matrix``, and
 finally applies the new map to A's output side, bias included.  ``fuse``
 blends the aligned model with B; ``direct_average`` is the no-alignment
-baseline.  The short fine-tuning that completes the recipe is
-``nets.finetune``, run on the fused model by its caller.
+baseline.  The short fine-tuning that completes the recipe runs in the
+caller: the study fine-tunes the fused model together with its
+constituents and the direct average through ``nets.finetune_stack``.
 
 Each layer's map is an ``OtSolution``.  An exact or pinned layer is its
 assignment alone, applied as an index gather, so aligning a model with
@@ -18,7 +19,7 @@ stochastic matrix ``m * T``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy import (
@@ -140,12 +141,7 @@ def align(model_a: Checkpoint, model_b: Checkpoint, opts: AlignmentOptions = Ali
             prev = spec.out_dim * solution.coupling
             aligned_layers.append(LayerWeights(prev.T @ w_hat, prev.T @ ba))
 
-    meta = CheckpointMeta(
-        seed=model_a.meta.seed,
-        training_epochs=model_a.meta.training_epochs,
-        tag="aligned",
-    )
-    aligned = make_checkpoint(model_a.specs, aligned_layers, meta)
+    aligned = make_checkpoint(model_a.specs, aligned_layers, replace(model_a.meta, tag="aligned"))
     return AlignmentResult(aligned, tuple(layers))
 
 

@@ -77,6 +77,9 @@ class TrainConfig:
         check_int("epochs", self.epochs, 0)
         check_int("batch_size", self.batch_size, 1)
         check_real("learning_rate", self.learning_rate)
+        check_int("seed", self.seed)  # no lower bound: negative seeds wrap
+        if not isinstance(self.shuffle, (bool, np.bool_)):
+            raise ValidationError(f"shuffle must be a bool, got {self.shuffle!r}")
 
 
 def validate_spec_chain(specs) -> tuple[LayerSpec, ...]:
@@ -106,6 +109,10 @@ def validate_spec_chain(specs) -> tuple[LayerSpec, ...]:
 
 def validate_checkpoint(ckpt: Checkpoint) -> None:
     """The checks ``Checkpoint`` runs on itself when it is built."""
+    check_int("meta seed", ckpt.meta.seed)
+    check_int("meta training_epochs", ckpt.meta.training_epochs, 0)
+    if not isinstance(ckpt.meta.tag, str):
+        raise ValidationError(f"meta tag must be a string, got {ckpt.meta.tag!r}")
     validate_spec_chain(ckpt.specs)
     if len(ckpt.layers) != len(ckpt.specs):
         raise ValidationError(
@@ -151,6 +158,7 @@ def max_weight_difference(a: Checkpoint, b: Checkpoint) -> float:
 def init_checkpoint(specs, seed: int, tag: str = "init") -> Checkpoint:
     """Seeded initialization: weights uniform in +-1/sqrt(in_dim), zero biases."""
     specs = validate_spec_chain(specs)
+    check_int("seed", seed)
     rng = seeded_rng(seed)
     layers = []
     for spec in specs:

@@ -22,8 +22,9 @@ because ``json.dump`` passes every string through its escape pass, one
 character at a time, and payloads are megabytes of base64, in which no
 character needs escaping.  Every other value still goes through ``json``.
 
-``check_writable`` is the test each command makes on its output paths
-before any work.
+``read_json`` is the one reader of a JSON input file, checkpoints and
+architecture files alike.  ``check_writable`` is the test each command
+makes on its output paths before any work.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import os
 
 import numpy as np
 
-from .errors import CheckpointFormatError, CheckpointVersionError, ValidationError
+from .errors import CheckpointFormatError, CheckpointVersionError, DataFormatError, ValidationError
 from .nets import Checkpoint, CheckpointMeta, LayerSpec, LayerWeights, make_checkpoint
 
 FORMAT_VERSION = 1
@@ -111,22 +112,11 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
     if not isinstance(meta_doc, dict):
         raise CheckpointFormatError("checkpoint meta must be an object")
     if len(specs_doc) != len(layers_doc):
-        raise CheckpointFormatError(
-            f"{len(specs_doc)} specs but {len(layers_doc)} weight layers",
-            code="shape_mismatch",
-        )
+        raise CheckpointFormatError(f"{len(specs_doc)} specs but {len(layers_doc)} weight layers")
     try:
         specs = tuple(
             LayerSpec(json_int(s["in_dim"]), json_int(s["out_dim"]), str(s["activation"]))
             for s in specs_doc
-        )
-        tag = meta_doc.get("tag", "")
-        if not isinstance(tag, str):
-            raise TypeError(f"meta.tag must be a JSON string, got {tag!r}")
-        meta = CheckpointMeta(
-            seed=json_int(meta_doc.get("seed", 0)),
-            training_epochs=json_int(meta_doc.get("training_epochs", 0)),
-            tag=tag,
         )
     except (KeyError, TypeError) as exc:
         raise CheckpointFormatError(f"malformed checkpoint fields: {exc}") from exc
@@ -136,18 +126,18 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
         if not isinstance(entry, dict) or "w" not in entry or "b" not in entry:
             raise CheckpointFormatError(f"layer {i}: missing w/b payloads")
         if spec.in_dim < 1 or spec.out_dim < 1:
-            raise CheckpointFormatError(f"layer {i}: non-positive dimensions", code="shape_mismatch")
+            raise CheckpointFormatError(f"layer {i}: non-positive dimensions")
         w = _decode(entry["w"], spec.out_dim * spec.in_dim, f"layer {i} weights")
         b = _decode(entry["b"], spec.out_dim, f"layer {i} bias")
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise CheckpointFormatError(f"layer {i}: non-finite values")
         layers.append(LayerWeights(w.reshape(spec.out_dim, spec.in_dim), b))
+    meta = CheckpointMeta(
+        meta_doc.get("seed", 0), meta_doc.get("training_epochs", 0), meta_doc.get("tag", "")
+    )
     try:
+        # the checkpoint checks its weights (finite, shaped as the specs) and its meta
         return make_checkpoint(specs, layers, meta)
     except ValidationError as exc:
-        raise CheckpointFormatError(
-            f"checkpoint fails validation: {exc}", code="shape_mismatch"
-        ) from exc
+        raise CheckpointFormatError(f"checkpoint fails validation: {exc}") from exc
 
 
 def check_writable(*paths) -> None:
@@ -217,12 +207,18 @@ def save_maps(layers, path) -> None:
     )
 
 
-def load_checkpoint(path) -> Checkpoint:
+def read_json(path, error=DataFormatError):
+    """The JSON document in ``path``; a file that is not UTF-8 JSON raises
+    ``error`` naming it (bad UTF-8, bad JSON, an integer past the digit limit)."""
+    # one decode of the whole file: a text-mode read of a 1.4 MB
+    # checkpoint took ten times as long
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        # one decode of the whole file: a text-mode read of a 1.4 MB
-        # checkpoint took ten times as long
-        with open(path, "rb") as fh:
-            doc = json.loads(fh.read().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise CheckpointFormatError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
-    return checkpoint_from_dict(doc)
+        return json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: not valid UTF-8 JSON ({exc})") from exc
+
+
+def load_checkpoint(path) -> Checkpoint:
+    return checkpoint_from_dict(read_json(path, CheckpointFormatError))

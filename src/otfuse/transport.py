@@ -590,7 +590,7 @@ def solve_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: 
     kernel = _kernel(scaled, f, g)
     u = v = np.ones(n)
     kv = kernel @ v
-    converged = polished = False
+    polished = False
     checked = np.inf  # the row residual at the last stall check
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for iterations in range(1, max_iter + 1):
@@ -602,7 +602,6 @@ def solve_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: 
             if not math.isfinite(residual):
                 raise SinkhornUnderflowError(f"eps={eps:g} is too small: a kernel row or column sum hit 0 or inf")
             if residual <= tol:
-                converged = True
                 break
             stalled = False
             if not polished and iterations % _STALL_EVERY == 0:
@@ -631,5 +630,5 @@ def solve_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: 
         float(np.sum(t * d)),
         solver=f"sinkhorn(eps={eps:g})",
         iterations=iterations,
-        converged=converged,
+        converged=bool(residual <= tol),
     )

@@ -319,4 +319,3 @@ def test_criterion_12_checkpoint_roundtrip(tmp_path):
         with pytest.raises(CheckpointVersionError) as ver_exc:
             load_checkpoint(versioned)
         assert type(fmt_exc.value) is not type(ver_exc.value)
-        assert fmt_exc.value.code != ver_exc.value.code

@@ -330,6 +330,29 @@ class TestExitCodes:
         assert main(args) == 2
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, bad", [
+        (["train", "arch.json", "train.csv", "--epochs", "1", "--out", "x.json"], "arch.json"),
+        (["eval", "model.json", "held.csv"], "model.json"),
+        (["align", "model.json", "model.json", "--out", "x.json"], "model.json"),
+        (["fuse", "model.json", "model.json", "--out", "x.json"], "model.json"),
+        (["finetune", "model.json", "train.csv", "--out", "x.json"], "model.json"),
+        (["landscape", "model.json", "model.json", "held.csv", "--out", "x.csv"], "model.json"),
+    ], ids=["train-arch", "eval", "align", "fuse", "finetune", "landscape"])
+    def test_integer_past_digit_limit_is_two(self, workdir, capsys, argv, bad):
+        # Python refuses to convert a JSON integer of more than 4300 digits
+        assert main(["train", str(workdir / "arch.json"), str(workdir / "train.csv"),
+                     "--epochs", "1", "--out", str(workdir / "model.json")]) == 0
+        path = workdir / bad
+        key, value = ('"in_dim"', 8) if bad == "arch.json" else ('"format_version"', 1)
+        text = path.read_text()
+        assert f"{key}: {value}" in text
+        path.write_text(text.replace(f"{key}: {value}", f"{key}: {'1' * 5000}", 1))
+        capsys.readouterr()
+        args = [str(workdir / a) if "." in a else a for a in argv]
+        assert main(args) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (workdir / "x.json").exists() and not (workdir / "x.csv").exists()
+
     @pytest.mark.parametrize("dim", [8.7, 8.0, "8", True])
     def test_non_integer_arch_dim_is_two(self, workdir, capsys, dim):
         arch = workdir / "arch.json"

@@ -113,6 +113,17 @@ class TestDatasetValidation:
         with pytest.raises(ValidationError, match="num_classes"):
             Dataset(np.zeros((2, 2)), np.array([0, 0]), num_classes)
 
+    @pytest.mark.parametrize("labels", [
+        np.array([0.9, 1.7]), np.array(["0", "1"]), np.array([False, True]), [0, 1.0],
+    ], ids=["float", "str", "bool", "mixed-list"])
+    def test_labels_must_be_integers(self, labels):
+        with pytest.raises(ValidationError, match="labels"):
+            Dataset(np.zeros((2, 2)), labels, 2)
+
+    def test_empty_labels_report_an_empty_dataset(self):
+        with pytest.raises(ValidationError, match="dataset is empty"):
+            Dataset(np.zeros((0, 2)), [], 2)
+
     def test_concat_disagreement(self):
         a = Dataset(np.zeros((2, 2)), np.array([0, 1]), 2)
         b = Dataset(np.zeros((2, 3)), np.array([0, 1]), 2)

@@ -111,6 +111,15 @@ class TestCheckpointConstruction:
         with pytest.raises(ValidationError):
             Checkpoint(specs, tuple(LayerWeights(w, b) for _ in specs))
 
+    @pytest.mark.parametrize("meta", [
+        CheckpointMeta(seed="x"), CheckpointMeta(seed=1.5), CheckpointMeta(seed=True),
+        CheckpointMeta(training_epochs=-1), CheckpointMeta(training_epochs=2.0), CheckpointMeta(tag=5),
+    ], ids=["str-seed", "float-seed", "bool-seed", "negative-epochs", "float-epochs", "int-tag"])
+    def test_meta_is_validated(self, meta):
+        layers = (LayerWeights(np.zeros((3, 2)), np.zeros(3)),)
+        with pytest.raises(ValidationError, match="meta"):
+            Checkpoint((LayerSpec(2, 3, "identity"),), layers, meta)
+
     def test_keeps_read_only_copies_of_its_inputs(self):
         w, b = np.ones((3, 2)), np.zeros(3)
         ckpt = Checkpoint((LayerSpec(2, 3, "identity"),), (LayerWeights(w, b),))
@@ -250,11 +259,16 @@ class TestTrain:
         ("epochs", -1), ("batch_size", 0), ("learning_rate", 0.0), ("learning_rate", -0.1),
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
         ("learning_rate", "0.1"), ("learning_rate", True), ("epochs", True), ("epochs", 1.5),
-        ("batch_size", 2.5),
+        ("batch_size", 2.5), ("seed", "x"), ("seed", 1.5), ("seed", True), ("shuffle", "no"),
+        ("shuffle", 1),
     ])
     def test_config_rejects_bad_values(self, field, value):
         with pytest.raises(ValidationError):
             TrainConfig(**{field: value})
+
+    def test_init_rejects_a_non_integer_seed(self):
+        with pytest.raises(ValidationError, match="seed"):
+            init_checkpoint((LayerSpec(2, 3, "identity"),), "x")
 
     def test_config_accepts_numpy_scalars(self):
         # a float32 rate is compared as a Python float: no overflow warning

@@ -74,6 +74,9 @@ def test_readers_raise_only_package_errors(reader, tmp_path_factory):
     @example(b"[" * 100000)
     @example(b'[{"in_dim": Infinity, "out_dim": 1}]')
     @example(b"f0,label\n1,99999999999999999999\n")
+    # integers past Python's 4300-digit conversion limit
+    @example(b'{"format_version": ' + b"1" * 5000 + b"}")
+    @example(b'[{"in_dim": ' + b"1" * 5000 + b', "out_dim": 1}]')
     def check(raw):
         path.write_bytes(raw)
         try:

