@@ -25,6 +25,7 @@ from .nets import (
     finetune,
     loss,
     train,
+    validate_spec_chain,
 )
 from .scoring import (
     confidence_select,
@@ -36,7 +37,7 @@ from .scoring import (
     selected_set,
     write_landscape_csv,
 )
-from .serialize import check_writable, json_int, load_checkpoint, read_json, save_checkpoint, save_maps
+from .serialize import check_writable, load_checkpoint, read_json, save_checkpoint, save_maps
 
 
 def _fmt(x: float) -> str:
@@ -58,17 +59,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_arch(path) -> tuple[LayerSpec, ...]:
     doc = read_json(path)
-    if not isinstance(doc, list) or not doc:
-        raise DataFormatError(f"{path}: architecture file must be a non-empty JSON list")
     try:
-        return tuple(
-            LayerSpec(
-                json_int(e["in_dim"]), json_int(e["out_dim"]), str(e.get("activation", "relu"))
-            )
-            for e in doc
+        return validate_spec_chain(
+            LayerSpec(e["in_dim"], e["out_dim"], e.get("activation", "relu")) for e in doc
         )
-    except (KeyError, TypeError) as exc:
-        raise DataFormatError(f"{path}: malformed layer entry ({exc})") from exc
+    except (KeyError, TypeError, AttributeError, ValidationError) as exc:
+        raise DataFormatError(f"{path}: malformed architecture ({exc})") from exc
 
 
 def _train_config(args) -> TrainConfig:

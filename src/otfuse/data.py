@@ -45,12 +45,20 @@ class Dataset:
 
     def __post_init__(self):
         labels = np.asarray(self.labels)
-        if labels.size and labels.dtype.kind not in "iu":
-            raise ValidationError(f"labels must be integers, got dtype {labels.dtype}")
-        object.__setattr__(self, "features", frozen_copy(self.features))
-        object.__setattr__(self, "labels", frozen_copy(labels, np.int64))
         check_int("num_classes", self.num_classes, 1)
         object.__setattr__(self, "num_classes", int(self.num_classes))
+        if labels.size:
+            # an object array of Python ints holds labels past 64 bits
+            if labels.dtype.kind not in "iu" and {type(v) for v in labels.flat} != {int}:
+                raise ValidationError(f"labels must be integers, got dtype {labels.dtype}")
+            # on the values as given: the int64 copy would wrap 2**63 to -2**63
+            if labels.min() < 0 or labels.max() >= self.num_classes:
+                raise ValidationError(
+                    f"labels must lie in [0, {self.num_classes}), "
+                    f"got range [{labels.min()}, {labels.max()}]"
+                )
+        object.__setattr__(self, "features", frozen_copy(self.features))
+        object.__setattr__(self, "labels", frozen_copy(labels, np.int64))
         if self.features.ndim != 2:
             raise ValidationError(f"features must be 2-D, got {self.features.shape}")
         if self.features.shape[0] == 0:
@@ -61,11 +69,6 @@ class Dataset:
             raise ValidationError(
                 f"labels shape {self.labels.shape} does not match "
                 f"{self.features.shape[0]} samples"
-            )
-        if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
-            raise ValidationError(
-                f"labels must lie in [0, {self.num_classes}), "
-                f"got range [{self.labels.min()}, {self.labels.max()}]"
             )
 
 
@@ -200,7 +203,7 @@ def load_dataset_csv(path, num_classes: int) -> Dataset:
     if not feats:
         raise DataFormatError(f"{path}: no samples")
     try:
-        labels_arr = np.asarray(labels, dtype=np.int64)
-    except OverflowError as exc:
-        raise DataFormatError(f"{path}: label out of range ({exc})") from exc
-    return Dataset(np.asarray(feats), labels_arr, num_classes)
+        # as Python ints, so a label past 64 bits reaches Dataset's check as itself
+        return Dataset(np.asarray(feats), np.array(labels, dtype=object), num_classes)
+    except ValidationError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .data import Dataset, read_lines
-from .errors import DataFormatError, ValidationError, check_int
+from .errors import DataFormatError, ValidationError, check_int, check_real
 from .nets import (
     Checkpoint,
     accuracy_from_logits,
@@ -40,11 +40,21 @@ class EditCounts:
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """One system's token sequence for one utterance."""
+    """One system's token sequence for one utterance, with an optional
+    confidence in [0, 1] per token, checked when it is built."""
 
     utt_id: str
     tokens: tuple[str, ...]
     confidences: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        if self.confidences is not None and len(self.confidences) != len(self.tokens):
+            raise ValidationError(
+                f"hypothesis {self.utt_id!r} has {len(self.confidences)} confidences "
+                f"for {len(self.tokens)} tokens"
+            )
+        for c in self.confidences or ():
+            check_real(f"hypothesis {self.utt_id!r} confidence", c, (0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -152,11 +162,6 @@ def mean_confidence(hyp: Hypothesis) -> float:
     """Average token confidence; an empty hypothesis scores 0."""
     if hyp.confidences is None:
         raise ValidationError(f"hypothesis {hyp.utt_id!r} carries no confidences")
-    if len(hyp.confidences) != len(hyp.tokens):
-        raise ValidationError(
-            f"hypothesis {hyp.utt_id!r} has {len(hyp.confidences)} confidences "
-            f"for {len(hyp.tokens)} tokens"
-        )
     if not hyp.confidences:
         return 0.0
     return float(np.mean(hyp.confidences))
@@ -260,20 +265,11 @@ def read_hypotheses(path, system_name: str) -> HypothesisSet:
     for utt, (where, fields) in _read_tsv(
         path, "utt_id<TAB>tokens[<TAB>confidences]", 3, "hypotheses"
     ).items():
-        tokens = _split_tokens(fields[0])
-        confidences = None
-        if len(fields) == 2:
-            try:
-                confidences = tuple(float(c) for c in _split_tokens(fields[1]))
-            except ValueError as exc:
-                raise DataFormatError(f"{where}: bad confidence ({exc})") from exc
-            if len(confidences) != len(tokens):
-                raise DataFormatError(
-                    f"{where}: {len(confidences)} confidences for {len(tokens)} tokens"
-                )
-            if any(not 0.0 <= c <= 1.0 for c in confidences):
-                raise DataFormatError(f"{where}: confidence outside [0, 1]")
-        items[utt] = Hypothesis(utt, tokens, confidences)
+        try:
+            confidences = tuple(float(c) for c in _split_tokens(fields[1])) if len(fields) == 2 else None
+            items[utt] = Hypothesis(utt, _split_tokens(fields[0]), confidences)
+        except (ValueError, ValidationError) as exc:
+            raise DataFormatError(f"{where}: {exc}") from exc
     return HypothesisSet(system_name, items)
 
 

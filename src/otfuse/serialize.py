@@ -23,21 +23,23 @@ character at a time, and payloads are megabytes of base64, in which no
 character needs escaping.  Every other value still goes through ``json``.
 
 ``read_json`` is the one reader of a JSON input file, checkpoints and
-architecture files alike.  ``check_writable`` is the test each command
-makes on its output paths before any work.
+architecture files alike.  ``checkpoint_from_dict`` reads only the
+document's structure: ``validate_spec_chain`` owns the rule for the specs
+and ``Checkpoint`` the rules for weights and meta, and ``load_checkpoint``
+names the file in each error they raise.  ``check_writable`` is the test
+each command makes on its output paths before any work.
 """
 
 from __future__ import annotations
 
 import base64
-import binascii
 import json
 import os
 
 import numpy as np
 
 from .errors import CheckpointFormatError, CheckpointVersionError, DataFormatError, ValidationError
-from .nets import Checkpoint, CheckpointMeta, LayerSpec, LayerWeights, make_checkpoint
+from .nets import Checkpoint, CheckpointMeta, LayerSpec, LayerWeights, make_checkpoint, validate_spec_chain
 
 FORMAT_VERSION = 1
 
@@ -51,22 +53,13 @@ def encode_float64(arr: np.ndarray) -> str:
     return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
 
 
-def json_int(value) -> int:
-    """``value`` itself if it is a JSON integer.  Bools, floats (even
-    integral ones) and strings raise ``TypeError`` rather than being
-    coerced, so ``true`` or ``2.7`` is never read as 1 or 2."""
-    if type(value) is not int:
-        raise TypeError(f"expected a JSON integer, got {value!r}")
-    return value
-
-
 def _decode(text: str, count: int, what: str) -> np.ndarray:
     try:
         raw = base64.b64decode(text, validate=True)
-    except (binascii.Error, TypeError, ValueError) as exc:
-        raise CheckpointFormatError(f"{what}: invalid base64 payload") from exc
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ValidationError(f"{what}: invalid base64 payload") from exc
     if len(raw) != 8 * count:
-        raise CheckpointFormatError(
+        raise ValidationError(
             f"{what}: payload holds {len(raw) // 8} values, expected {count}"
         )
     # read-only over ``raw``; the Checkpoint built from it stores its own copy
@@ -92,10 +85,9 @@ def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
 def checkpoint_from_dict(doc: dict) -> Checkpoint:
     if not isinstance(doc, dict):
         raise CheckpointFormatError("checkpoint document is not an object")
-    try:
-        version = json_int(doc.get("format_version"))
-    except TypeError as exc:
-        raise CheckpointFormatError("missing or non-integer format_version") from exc
+    version = doc.get("format_version")
+    if type(version) is not int:
+        raise CheckpointFormatError("missing or non-integer format_version")
     if version != FORMAT_VERSION:
         raise CheckpointVersionError(
             f"unsupported checkpoint format_version {version}; "
@@ -105,36 +97,27 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
         meta_doc = doc["meta"]
         specs_doc = doc["specs"]
         layers_doc = doc["layers"]
+        if len(specs_doc) != len(layers_doc):
+            raise CheckpointFormatError(f"{len(specs_doc)} specs but {len(layers_doc)} weight layers")
+        specs = [LayerSpec(s["in_dim"], s["out_dim"], s["activation"]) for s in specs_doc]
+        payloads = [(entry["w"], entry["b"]) for entry in layers_doc]
+        meta = CheckpointMeta(
+            meta_doc.get("seed", 0), meta_doc.get("training_epochs", 0), meta_doc.get("tag", "")
+        )
     except KeyError as exc:
         raise CheckpointFormatError(f"missing checkpoint field {exc}") from exc
-    if not isinstance(specs_doc, list) or not isinstance(layers_doc, list):
-        raise CheckpointFormatError("checkpoint specs and layers must be lists")
-    if not isinstance(meta_doc, dict):
-        raise CheckpointFormatError("checkpoint meta must be an object")
-    if len(specs_doc) != len(layers_doc):
-        raise CheckpointFormatError(f"{len(specs_doc)} specs but {len(layers_doc)} weight layers")
-    try:
-        specs = tuple(
-            LayerSpec(json_int(s["in_dim"]), json_int(s["out_dim"]), str(s["activation"]))
-            for s in specs_doc
-        )
-    except (KeyError, TypeError) as exc:
+    except (TypeError, AttributeError) as exc:
         raise CheckpointFormatError(f"malformed checkpoint fields: {exc}") from exc
-
-    layers = []
-    for i, (spec, entry) in enumerate(zip(specs, layers_doc)):
-        if not isinstance(entry, dict) or "w" not in entry or "b" not in entry:
-            raise CheckpointFormatError(f"layer {i}: missing w/b payloads")
-        if spec.in_dim < 1 or spec.out_dim < 1:
-            raise CheckpointFormatError(f"layer {i}: non-positive dimensions")
-        w = _decode(entry["w"], spec.out_dim * spec.in_dim, f"layer {i} weights")
-        b = _decode(entry["b"], spec.out_dim, f"layer {i} bias")
-        layers.append(LayerWeights(w.reshape(spec.out_dim, spec.in_dim), b))
-    meta = CheckpointMeta(
-        meta_doc.get("seed", 0), meta_doc.get("training_epochs", 0), meta_doc.get("tag", "")
-    )
     try:
-        # the checkpoint checks its weights (finite, shaped as the specs) and its meta
+        # the specs are checked before they size a payload, the weights and meta by the build
+        specs = validate_spec_chain(specs)
+        layers = [
+            LayerWeights(
+                _decode(w, s.out_dim * s.in_dim, f"layer {i} weights").reshape(s.out_dim, s.in_dim),
+                _decode(b, s.out_dim, f"layer {i} bias"),
+            )
+            for i, (s, (w, b)) in enumerate(zip(specs, payloads))
+        ]
         return make_checkpoint(specs, layers, meta)
     except ValidationError as exc:
         raise CheckpointFormatError(f"checkpoint fails validation: {exc}") from exc
@@ -143,10 +126,13 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
 def check_writable(*paths) -> None:
     """Open each output path before any work, so an unwritable one fails first
     (exit 2).  A file the check creates is removed again: a failed run leaves
-    no output behind, and an existing file is not changed."""
+    no output behind, and an existing file is not changed.  Two paths that
+    resolve to one file raise ``ValidationError`` before any is opened, as
+    the second write would replace the first."""
+    paths = [path for path in paths if path is not None]
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise ValidationError(f"output paths name one file twice: {', '.join(map(str, paths))}")
     for path in paths:
-        if path is None:
-            continue
         existed = os.path.exists(path)
         with open(path, "a", encoding="utf-8"):
             pass
@@ -221,4 +207,8 @@ def read_json(path, error=DataFormatError):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    return checkpoint_from_dict(read_json(path, CheckpointFormatError))
+    doc = read_json(path, CheckpointFormatError)
+    try:
+        return checkpoint_from_dict(doc)
+    except (CheckpointFormatError, CheckpointVersionError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

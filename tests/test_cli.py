@@ -353,6 +353,47 @@ class TestExitCodes:
         assert str(path) in capsys.readouterr().err
         assert not (workdir / "x.json").exists() and not (workdir / "x.csv").exists()
 
+    @pytest.mark.parametrize("broken", [0, 1], ids=["first", "second"])
+    @pytest.mark.parametrize("field, value", [
+        ("specs", 5), ("in_dim", 0), ("w", "!!! not base64 !!!"),
+    ], ids=["spec-is-a-number", "zero-in-dim", "bad-base64"])
+    def test_malformed_align_input_is_two_and_named(self, workdir, capsys, broken, field, value):
+        paths = [workdir / "a.json", workdir / "b.json"]
+        for seed, path in enumerate(paths):
+            assert main(["train", str(workdir / "arch.json"), str(workdir / "train.csv"),
+                         "--epochs", "1", "--seed", str(seed), "--out", str(path)]) == 0
+        doc = json.loads(paths[broken].read_text())
+        if field == "specs":
+            doc["specs"][0] = value
+        else:
+            doc["specs" if field == "in_dim" else "layers"][0][field] = value
+        paths[broken].write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = workdir / "x.json"
+        assert main(["align", str(paths[0]), str(paths[1]), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(paths[broken]) in err and str(paths[1 - broken]) not in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("maps_out", ["x.json", "./x.json", "sub/../x.json"])
+    def test_repeated_output_path_is_two_and_keeps_the_file(self, workdir, capsys, monkeypatch, maps_out):
+        model = workdir / "model.json"
+        assert main(["train", str(workdir / "arch.json"), str(workdir / "train.csv"),
+                     "--epochs", "1", "--out", str(model)]) == 0
+        monkeypatch.chdir(workdir)
+        (workdir / "sub").mkdir()
+        out = workdir / "x.json"
+        out.write_text("keep me")
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("a checkpoint was read before the outputs were checked")
+
+        monkeypatch.setattr(cli, "load_checkpoint", not_called)
+        capsys.readouterr()
+        assert main(["align", str(model), str(model), "--out", "x.json", "--maps-out", maps_out]) == 2
+        assert "x.json" in capsys.readouterr().err
+        assert out.read_text() == "keep me"
+
     @pytest.mark.parametrize("dim", [8.7, 8.0, "8", True])
     def test_non_integer_arch_dim_is_two(self, workdir, capsys, dim):
         arch = workdir / "arch.json"

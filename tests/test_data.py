@@ -95,6 +95,16 @@ class TestDatasetValidation:
         with pytest.raises(ValidationError):
             Dataset(np.zeros((2, 2)), np.array([0, 5]), 3)
 
+    @pytest.mark.parametrize("labels, shown", [
+        (np.array([0, 2**63], dtype=np.uint64), "[0, 9223372036854775808]"),
+        (np.array([0, 2**64 - 1], dtype=np.uint64), "[0, 18446744073709551615]"),
+        (np.array([0, -1], dtype=np.int8), "[-1, 0]"),
+        ([0, 10**30], f"[0, {10**30}]"),
+    ], ids=["uint64-2**63", "uint64-max", "int8", "past-64-bits"])
+    def test_label_out_of_range_is_reported_as_given(self, labels, shown):
+        with pytest.raises(ValidationError, match=re.escape(f"got range {shown}")):
+            Dataset(np.zeros((2, 2)), labels, 3)
+
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             Dataset(np.zeros((3, 2)), np.array([0, 1]), 2)

@@ -243,6 +243,16 @@ class TestConfidenceSelect:
         s1 = hset("s1", {"u": "a"}, {"u": (0.2,)})
         assert confidence_select([s1]) == {"u": "s1"}
 
+    @pytest.mark.parametrize("tokens, confidences", [
+        (("x",), (float("nan"),)), (("x",), (1.5,)), (("x",), (-0.1,)), (("x",), ("0.5",)),
+        (("x",), (True,)), (("x", "y"), (0.5,)), ((), (0.5,)),
+    ], ids=["nan", "above-one", "negative", "string", "bool", "too-few", "too-many"])
+    def test_hypothesis_checks_its_confidences(self, tokens, confidences):
+        # a NaN confidence never wins a max: confidence_select picked its
+        # system when listed first and the other system when listed second
+        with pytest.raises(ValidationError, match="'u'"):
+            Hypothesis("u", tokens, confidences)
+
     def test_empty_hypothesis_confidence_is_zero(self):
         h = Hypothesis("u", (), ())
         assert mean_confidence(h) == 0.0
