@@ -47,6 +47,8 @@ class Dataset:
         labels = np.asarray(self.labels)
         check_int("num_classes", self.num_classes, 1)
         object.__setattr__(self, "num_classes", int(self.num_classes))
+        if self.num_classes > np.iinfo(np.int64).max:  # its labels must fit the int64 copy
+            raise ValidationError(f"num_classes must fit int64, got {self.num_classes}")
         if labels.size:
             # an object array of Python ints holds labels past 64 bits
             if labels.dtype.kind not in "iu" and {type(v) for v in labels.flat} != {int}:

@@ -5,18 +5,19 @@ same seed, ``train``/``finetune`` return bit-identical checkpoints.  Layers
 are affine maps followed by elementwise activations (relu, tanh, identity);
 the final layer always produces raw logits.
 
-A ``Checkpoint`` checks itself and freezes copies of its arrays when it is
-built, so nothing that takes one checks it again.
+A ``Checkpoint`` checks itself when it is built, so nothing that takes one
+checks it again.  It stores its parameters once, as one read-only vector
+whose views are its layers.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, frozen_copy, seeded_rng
+from .data import Dataset, seeded_rng
 from .errors import FINITE, NumericalError, ValidationError, check_int, check_real
 
 ACTIVATIONS = ("relu", "tanh", "identity")
@@ -51,18 +52,24 @@ class CheckpointMeta:
 
 @dataclass(frozen=True, eq=False)
 class Checkpoint:
-    """An ordered stack of layer weights plus architecture metadata.  Building
-    one stores read-only float64 copies of the arrays, then validates them."""
+    """Layer specs, metadata and ``params``, one read-only float64 vector in
+    ``_layout`` order whose views are ``layers``.  Building one validates the
+    given arrays as float64, then packs them into ``params``, one copy."""
 
     specs: tuple[LayerSpec, ...]
     layers: tuple[LayerWeights, ...]
     meta: CheckpointMeta = CheckpointMeta()
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        layers = tuple(LayerWeights(frozen_copy(l.w), frozen_copy(l.b)) for l in self.layers)
+        layers = tuple(LayerWeights(np.asarray(l.w, np.float64), np.asarray(l.b, np.float64)) for l in self.layers)
         object.__setattr__(self, "specs", tuple(self.specs))
         object.__setattr__(self, "layers", layers)
-        validate_checkpoint(self)
+        validate_checkpoint(self)  # the shapes, before they are packed
+        params = np.concatenate([a.ravel() for layer in layers for a in (layer.w, layer.b)])
+        params.setflags(write=False)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "layers", tuple(LayerWeights(w, b) for w, b in _layout(self.specs, params)))
 
 
 @dataclass(frozen=True)
@@ -148,11 +155,7 @@ def check_same_specs(a: Checkpoint, b: Checkpoint, op: str) -> None:
 def max_weight_difference(a: Checkpoint, b: Checkpoint) -> float:
     """Largest absolute difference over all weights and biases."""
     check_same_specs(a, b, "max_weight_difference")
-    diffs = [
-        max(np.abs(la.w - lb.w).max(), np.abs(la.b - lb.b).max())
-        for la, lb in zip(a.layers, b.layers)
-    ]
-    return float(max(diffs))
+    return float(np.abs(a.params - b.params).max())
 
 
 def init_checkpoint(specs, seed: int, tag: str = "init") -> Checkpoint:
@@ -255,13 +258,6 @@ def _layout(specs, theta: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return views
 
 
-def _flatten(ckpts) -> np.ndarray:
-    """A new (K, P) stack of a list of checkpoints' parameters, each row in
-    ``_layout`` order."""
-    parts = [a.ravel() for ckpt in ckpts for layer in ckpt.layers for a in (layer.w, layer.b)]
-    return np.concatenate(parts).reshape(len(ckpts), -1)
-
-
 def _backprop(specs, params, grads, x: np.ndarray, onehot: np.ndarray) -> None:
     """Write the gradients of each model's mean cross-entropy into ``grads``.
 
@@ -309,13 +305,12 @@ def _params(specs, theta: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.n
 def loss_gradients(ckpt: Checkpoint, data: Dataset) -> list[LayerWeights]:
     """Backprop gradients of ``loss`` with respect to every weight and bias.
 
-    Returned as one ``LayerWeights`` of gradients per layer, in layer order.
+    Returned as one ``LayerWeights`` of gradient views per layer, in layer order.
     """
     check_model_data(ckpt.specs, data)
-    theta = _flatten([ckpt])[0]
-    grads = _layout(ckpt.specs, np.empty_like(theta))
-    _backprop(ckpt.specs, _params(ckpt.specs, theta), grads, data.features, np.eye(data.num_classes)[data.labels])
-    return [LayerWeights(gw.copy(), gb.copy()) for gw, gb in grads]
+    grads = _layout(ckpt.specs, np.empty_like(ckpt.params))
+    _backprop(ckpt.specs, _params(ckpt.specs, ckpt.params), grads, data.features, np.eye(data.num_classes)[data.labels])
+    return [LayerWeights(gw, gb) for gw, gb in grads]
 
 
 def train(specs, data: Dataset, cfg: TrainConfig) -> Checkpoint:
@@ -353,17 +348,18 @@ def finetune_stack(ckpts, datas, cfgs) -> list[Checkpoint]:
     with ``cfgs[i]``.  Each result is bit-identical to ``finetune`` run alone,
     and a model with 0 epochs comes back as the same object.
 
-    The models' parameters are one (K, P) stack.  Each distinct pair of
-    dataset and config is one ``_minibatches`` stream, shared by the models
-    that have that pair, and a model has finished when its stream runs out.
-    The streams advance in lockstep, one minibatch each per round.  A round
-    in which no stream has run out and every batch has the same row count
-    is one stacked step: (K, B, k) @ (K, k, h) products (one shared stream's
-    batch broadcasts), then one multiply by the K x 1 learning-rate column
-    and one subtract.  Any other round (a partial last batch, or a finished
-    model) steps each model that has a batch alone on its row, as every
-    round of a stack of one does, with one model's 2-D products.  One
-    finiteness check of the stack after the last round catches divergence.
+    The ``params`` of the K models that train are one (K, P) stack, and a
+    0-epoch model stays out of it.  Each distinct pair of dataset and config
+    is one ``_minibatches`` stream, shared by the models that have that pair,
+    and a model has finished when its stream runs out.  The streams advance
+    in lockstep, one minibatch each per round.  A round in which no stacked
+    model has finished and every batch has the same row count is one stacked
+    step: (K, B, k) @ (K, k, h) products (one shared stream's batch
+    broadcasts), then one multiply by the K x 1 learning-rate column and one
+    subtract.  Any other round (a partial last batch, or a finished model)
+    steps each model that has a batch alone on its row, as every round of a
+    stack of one does, with one model's 2-D products.  One finiteness check
+    of the stack after the last round catches divergence.
     """
     ckpts, datas, cfgs = list(ckpts), list(datas), list(cfgs)
     if not ckpts or len(datas) != len(ckpts) or len(cfgs) != len(ckpts):
@@ -377,26 +373,32 @@ def finetune_stack(ckpts, datas, cfgs) -> list[Checkpoint]:
         check_model_data(specs, data)
     streams = {}  # (dataset, config) -> index of its batch stream
     src = [streams.setdefault(pair, len(streams)) for pair in zip(datas, cfgs)]
+    trained = [k for k, cfg in enumerate(cfgs) if cfg.epochs > 0]  # the stack's models
+    if not trained:
+        return ckpts
+    src, rates = [src[k] for k in trained], [cfgs[k].learning_rate for k in trained]
 
-    theta = _flatten(ckpts)
+    theta = np.stack([ckpts[k].params for k in trained])
     grad = np.empty_like(theta)
     params, grads = _params(specs, theta), _layout(specs, grad)
-    rate = np.array([[cfg.learning_rate] for cfg in cfgs])
+    rate = np.array([[lr] for lr in rates])
     alone = [  # each model's stream and rows, for the rounds it steps alone
-        (s, _params(specs, theta[k]), _layout(specs, grad[k]), theta[k], grad[k], cfg.learning_rate)
-        for k, (s, cfg) in enumerate(zip(src, cfgs))
+        (s, _params(specs, theta[k]), _layout(specs, grad[k]), theta[k], grad[k], lr)
+        for k, (s, lr) in enumerate(zip(src, rates))
     ]
+    one_stream = len(set(src)) == 1
     with np.errstate(over="ignore", invalid="ignore"):
         for drawn in itertools.zip_longest(*(_minibatches(*pair) for pair in streams)):
+            batches = [drawn[s] for s in src]
             # a stack of one steps alone, so a single model runs the 2-D kernel
-            if len(ckpts) > 1 and None not in drawn and len({len(x) for x, _ in drawn}) == 1:
-                if len(drawn) == 1:
-                    x, y = drawn[0]
+            if len(src) > 1 and None not in batches and len({len(x) for x, _ in batches}) == 1:
+                if one_stream:
+                    x, y = batches[0]
                 else:
-                    x = np.empty((len(src), *drawn[0][0].shape))
-                    y = np.empty((len(src), *drawn[0][1].shape))
-                    for k, s in enumerate(src):
-                        x[k], y[k] = drawn[s]
+                    x = np.empty((len(src), *batches[0][0].shape))
+                    y = np.empty((len(src), *batches[0][1].shape))
+                    for k, batch in enumerate(batches):
+                        x[k], y[k] = batch
                 _backprop(specs, params, grads, x, y)
                 grad *= rate
                 theta -= grad
@@ -410,27 +412,22 @@ def finetune_stack(ckpts, datas, cfgs) -> list[Checkpoint]:
         raise NumericalError(
             "training diverged to non-finite weights; lower the learning rate"
         )
-    views = _layout(specs, theta)
+    rows = iter(theta)  # the trained models' rows, in order
     return [
         ckpt if cfg.epochs == 0 else make_checkpoint(  # copies, so theta is not shared
             specs,
-            [LayerWeights(w[k], b[k]) for w, b in views],
+            [LayerWeights(w, b) for w, b in _layout(specs, next(rows))],
             replace(ckpt.meta, training_epochs=ckpt.meta.training_epochs + cfg.epochs),
         )
-        for k, (ckpt, cfg) in enumerate(zip(ckpts, cfgs))
+        for ckpt, cfg in zip(ckpts, cfgs)
     ]
 
 
 def blend_layers(ckpt0: Checkpoint, ckpt1: Checkpoint, alpha: float) -> list[LayerWeights]:
     """The layers of ``interpolate``, for callers that set their own meta and
     have checked that the specs match."""
-    return [
-        LayerWeights(
-            (1.0 - alpha) * l0.w + alpha * l1.w,
-            (1.0 - alpha) * l0.b + alpha * l1.b,
-        )
-        for l0, l1 in zip(ckpt0.layers, ckpt1.layers)
-    ]
+    theta = (1.0 - alpha) * ckpt0.params + alpha * ckpt1.params
+    return [LayerWeights(w, b) for w, b in _layout(ckpt0.specs, theta)]
 
 
 def interpolate(ckpt0: Checkpoint, ckpt1: Checkpoint, alpha: float) -> Checkpoint:

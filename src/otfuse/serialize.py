@@ -127,16 +127,17 @@ def check_writable(*paths) -> None:
     """Open each output path before any work, so an unwritable one fails first
     (exit 2).  A file the check creates is removed again: a failed run leaves
     no output behind, and an existing file is not changed.  Two paths that
-    resolve to one file raise ``ValidationError`` before any is opened, as
-    the second write would replace the first."""
+    name one file (by inode, so hard links too) raise ``ValidationError``
+    before any is opened, as the second write would replace the first."""
     paths = [path for path in paths if path is not None]
-    if len({os.path.realpath(path) for path in paths}) < len(paths):
+    stats = [os.stat(path) if os.path.exists(path) else None for path in paths]
+    files = {os.path.realpath(p) if s is None else (s.st_dev, s.st_ino) for p, s in zip(paths, stats)}
+    if len(files) < len(paths):
         raise ValidationError(f"output paths name one file twice: {', '.join(map(str, paths))}")
-    for path in paths:
-        existed = os.path.exists(path)
+    for path, stat in zip(paths, stats):
         with open(path, "a", encoding="utf-8"):
             pass
-        if not existed:
+        if stat is None:
             os.remove(path)
 
 

@@ -1,6 +1,7 @@
 import base64
 import functools
 import json
+import os
 
 import numpy as np
 import pytest
@@ -375,7 +376,7 @@ class TestExitCodes:
         assert str(paths[broken]) in err and str(paths[1 - broken]) not in err
         assert "Traceback" not in err and not out.exists()
 
-    @pytest.mark.parametrize("maps_out", ["x.json", "./x.json", "sub/../x.json"])
+    @pytest.mark.parametrize("maps_out", ["x.json", "./x.json", "sub/../x.json", "hardlink.json"])
     def test_repeated_output_path_is_two_and_keeps_the_file(self, workdir, capsys, monkeypatch, maps_out):
         model = workdir / "model.json"
         assert main(["train", str(workdir / "arch.json"), str(workdir / "train.csv"),
@@ -384,6 +385,7 @@ class TestExitCodes:
         (workdir / "sub").mkdir()
         out = workdir / "x.json"
         out.write_text("keep me")
+        os.link(out, workdir / "hardlink.json")  # one file under two names
 
         def not_called(*args, **kwargs):
             raise AssertionError("a checkpoint was read before the outputs were checked")

@@ -118,10 +118,14 @@ class TestDatasetValidation:
         assert ds.features.dtype == np.float64 and ds.labels.dtype == np.int64
         assert type(ds.num_classes) is int
 
-    @pytest.mark.parametrize("num_classes", ["3", 2.9, True, 0], ids=["str", "float", "bool", "zero"])
+    @pytest.mark.parametrize("num_classes", ["3", 2.9, True, 0, 2**64],
+                             ids=["str", "float", "bool", "zero", "past-int64"])
     def test_num_classes_must_be_a_positive_integer(self, num_classes):
         with pytest.raises(ValidationError, match="num_classes"):
             Dataset(np.zeros((2, 2)), np.array([0, 0]), num_classes)
+        # checked before the labels, so a label int64 cannot hold is never stored wrapped
+        with pytest.raises(ValidationError, match="num_classes"):
+            Dataset(np.zeros((1, 2)), np.array([2**63], dtype=np.uint64), num_classes)
 
     @pytest.mark.parametrize("labels", [
         np.array([0.9, 1.7]), np.array(["0", "1"]), np.array([False, True]), [0, 1.0],

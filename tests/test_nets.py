@@ -128,6 +128,10 @@ class TestCheckpointConstruction:
         assert np.array_equal(layer.w, np.ones((3, 2))) and np.array_equal(layer.b, np.zeros(3))
         assert not layer.w.flags.writeable and not layer.b.flags.writeable
         assert layer.w.dtype == layer.b.dtype == np.float64
+        assert not ckpt.params.flags.writeable and ckpt.params.dtype == np.float64
+        assert np.array_equal(ckpt.params, [1, 1, 1, 1, 1, 1, 0, 0, 0])  # _layout order
+        assert np.shares_memory(layer.w, ckpt.params) and np.shares_memory(layer.b, ckpt.params)
+        assert not any(np.shares_memory(a, x) for a in (ckpt.params, layer.w, layer.b) for x in (w, b))
 
 
 class TestForward:
@@ -494,17 +498,18 @@ class TestSgdMatchesReference:
         assert checkpoints_equal(train(specs, data, cfg), expected)
 
     def test_result_shares_no_memory_with_training_vector(self, monkeypatch):
-        flatten, stacks = nets._flatten, []
-        monkeypatch.setattr(nets, "_flatten", lambda ckpts: stacks.append(flatten(ckpts)) or stacks[-1])
+        # _params makes the views of the (K, P) stack first, then of each row
+        params, stacks = nets._params, []
+        monkeypatch.setattr(nets, "_params", lambda specs, theta: stacks.append(theta) or params(specs, theta))
         rng = np.random.default_rng(42)
         models = [random_checkpoint(rng, self.SPECS, scale=0.5) for _ in range(2)]
         cfgs = [TrainConfig(epochs=2, seed=5), TrainConfig(epochs=2, seed=6)]
         outs = finetune_stack(models, [self.dataset()] * 2, cfgs)
-        (theta,) = stacks
-        assert np.array_equal(theta, flatten(outs))  # the (K, P) stack SGD updated
+        theta = stacks[0]
+        assert np.array_equal(theta, np.stack([out.params for out in outs]))  # the stack SGD updated
         assert not any(
             np.shares_memory(a, theta)
-            for out in outs for layer in out.layers for a in (layer.w, layer.b)
+            for out in outs for layer in out.layers for a in (out.params, layer.w, layer.b)
         )
 
 
@@ -571,6 +576,24 @@ class TestFinetuneStack:
         outs = finetune_stack(models, [data] * 2, cfgs)
         assert outs[0] is models[0]
         self.check(models[1:], [data], cfgs[1:])
+
+    def test_zero_epoch_model_stays_out_of_the_stack(self, monkeypatch):
+        backprop, calls = nets._backprop, []
+        monkeypatch.setattr(nets, "_backprop", lambda *args: calls.append(1) or backprop(*args))
+        rng = np.random.default_rng(53)
+        models = [random_checkpoint(rng, self.SPECS, scale=0.5) for _ in range(3)]
+        data = self.dataset(50, 14)
+        cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=0.1, seed=6)
+        outs = finetune_stack(models, [data] * 3, [cfg, TrainConfig(epochs=0), cfg])
+        assert len(calls) == 2 * 4  # one stacked step per round: 2 epochs of 4 batches
+        assert outs[1] is models[1]
+        for k in (0, 2):
+            meta = replace(models[k].meta, training_epochs=models[k].meta.training_epochs + cfg.epochs)
+            expected = make_checkpoint(self.SPECS, reference_sgd(models[k], data, cfg), meta)
+            assert checkpoints_equal(outs[k], expected)
+        calls.clear()
+        outs = finetune_stack(models, [data] * 3, [TrainConfig(epochs=0)] * 3)
+        assert not calls and all(out is model for out, model in zip(outs, models))
 
     def test_divergence_of_one_model_raises_numerical_error(self):
         from otfuse.data import DomainMixtureConfig, gen_synthetic
