@@ -350,16 +350,16 @@ def finetune_stack(ckpts, datas, cfgs) -> list[Checkpoint]:
 
     The ``params`` of the K models that train are one (K, P) stack, and a
     0-epoch model stays out of it.  Each distinct pair of dataset and config
-    is one ``_minibatches`` stream, shared by the models that have that pair,
-    and a model has finished when its stream runs out.  The streams advance
-    in lockstep, one minibatch each per round.  A round in which no stacked
-    model has finished and every batch has the same row count is one stacked
-    step: (K, B, k) @ (K, k, h) products (one shared stream's batch
+    among them is one ``_minibatches`` stream, shared by the models that have
+    that pair, and a model has finished when its stream runs out.  The streams
+    advance in lockstep, one minibatch each per round.  A round in which no
+    stacked model has finished and every batch has the same row count is one
+    stacked step: (K, B, k) @ (K, k, h) products (one shared stream's batch
     broadcasts), then one multiply by the K x 1 learning-rate column and one
     subtract.  Any other round (a partial last batch, or a finished model)
     steps each model that has a batch alone on its row, as every round of a
-    stack of one does, with one model's 2-D products.  One finiteness check
-    of the stack after the last round catches divergence.
+    stack of one does, with one model's 2-D products.  One finiteness check of
+    the stack after the last round catches divergence.
     """
     ckpts, datas, cfgs = list(ckpts), list(datas), list(cfgs)
     if not ckpts or len(datas) != len(ckpts) or len(cfgs) != len(ckpts):
@@ -371,41 +371,34 @@ def finetune_stack(ckpts, datas, cfgs) -> list[Checkpoint]:
     for ckpt, data in zip(ckpts, datas):
         check_same_specs(ckpts[0], ckpt, "finetune_stack")
         check_model_data(specs, data)
-    streams = {}  # (dataset, config) -> index of its batch stream
-    src = [streams.setdefault(pair, len(streams)) for pair in zip(datas, cfgs)]
     trained = [k for k, cfg in enumerate(cfgs) if cfg.epochs > 0]  # the stack's models
     if not trained:
         return ckpts
-    src, rates = [src[k] for k in trained], [cfgs[k].learning_rate for k in trained]
+    streams = {}  # (dataset, config) -> index of its batch stream
+    src = [streams.setdefault((datas[k], cfgs[k]), len(streams)) for k in trained]
+    rates = [cfgs[k].learning_rate for k in trained]
 
     theta = np.stack([ckpts[k].params for k in trained])
     grad = np.empty_like(theta)
     params, grads = _params(specs, theta), _layout(specs, grad)
     rate = np.array([[lr] for lr in rates])
-    alone = [  # each model's stream and rows, for the rounds it steps alone
-        (s, _params(specs, theta[k]), _layout(specs, grad[k]), theta[k], grad[k], lr)
-        for k, (s, lr) in enumerate(zip(src, rates))
+    alone = [  # each model's rows, for the rounds it steps alone
+        (_params(specs, theta[k]), _layout(specs, grad[k]), theta[k], grad[k], lr)
+        for k, lr in enumerate(rates)
     ]
-    one_stream = len(set(src)) == 1
     with np.errstate(over="ignore", invalid="ignore"):
         for drawn in itertools.zip_longest(*(_minibatches(*pair) for pair in streams)):
             batches = [drawn[s] for s in src]
             # a stack of one steps alone, so a single model runs the 2-D kernel
             if len(src) > 1 and None not in batches and len({len(x) for x, _ in batches}) == 1:
-                if one_stream:
-                    x, y = batches[0]
-                else:
-                    x = np.empty((len(src), *batches[0][0].shape))
-                    y = np.empty((len(src), *batches[0][1].shape))
-                    for k, batch in enumerate(batches):
-                        x[k], y[k] = batch
+                x, y = drawn[0] if len(streams) == 1 else map(np.array, zip(*batches))
                 _backprop(specs, params, grads, x, y)
                 grad *= rate
                 theta -= grad
                 continue
-            for s, p, g, th, gr, lr in alone:
-                if drawn[s] is not None:
-                    _backprop(specs, p, g, *drawn[s])
+            for (p, g, th, gr, lr), batch in zip(alone, batches):
+                if batch is not None:
+                    _backprop(specs, p, g, *batch)
                     gr *= lr
                     th -= gr
     if not np.isfinite(theta).all():

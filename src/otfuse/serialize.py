@@ -17,10 +17,10 @@ Payloads are base64-encoded little-endian float64 values in row-major
 order, so ``load(save(x))`` reproduces ``x`` bit-exactly.
 
 Both files are byte for byte what ``json.dump(doc, fh, indent=1)`` followed
-by a newline writes.  ``_write_json`` writes them without ``json.dump``,
-because ``json.dump`` passes every string through its escape pass, one
-character at a time, and payloads are megabytes of base64, in which no
-character needs escaping.  Every other value still goes through ``json``.
+by a newline writes.  ``json`` lays out the document, with every payload
+taken out, and ``_write_json`` only fills the payloads into their empty
+strings: payloads are megabytes of base64, in which no character needs
+escaping, so they skip ``json``'s escape pass.
 
 ``read_json`` is the one reader of a JSON input file, checkpoints and
 architecture files alike.  ``checkpoint_from_dict`` reads only the
@@ -35,6 +35,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+import re
 
 import numpy as np
 
@@ -46,6 +47,9 @@ FORMAT_VERSION = 1
 # the keys whose values are base64 payloads; neither format uses them for
 # anything else
 _PAYLOAD_KEYS = frozenset({"w", "b", "coupling"})
+# the point between the quotes of a payload key's empty string in json's
+# text; a quote inside any JSON string is escaped, so nothing else matches
+_SLOT = re.compile("|".join(f'(?<="{key}": ")(?=")' for key in sorted(_PAYLOAD_KEYS)))
 
 
 def encode_float64(arr: np.ndarray) -> str:
@@ -141,40 +145,29 @@ def check_writable(*paths) -> None:
             os.remove(path)
 
 
+def _take_payloads(value, payloads: list):
+    """``value`` with each payload replaced by "" and appended to ``payloads``,
+    in document order.  Not a closure that calls itself: that reference cycle
+    would keep every payload alive until the cycle collector runs."""
+    if isinstance(value, dict):
+        return {
+            key: payloads.append(item) or "" if key in _PAYLOAD_KEYS else _take_payloads(item, payloads)
+            for key, item in value.items()
+        }
+    if isinstance(value, (list, tuple)):
+        return [_take_payloads(item, payloads) for item in value]
+    return value
+
+
 def _write_json(doc: dict, path) -> None:
     """Write ``doc`` as ``json.dump(doc, fh, indent=1)`` and a newline would,
-    piece by piece, with each payload put between its quotes unescaped."""
+    each payload unescaped between the quotes of its empty string."""
+    payloads = []
+    pieces = _SLOT.split(json.dumps(_take_payloads(doc, payloads), indent=1))
     with open(path, "w", encoding="utf-8") as fh:
-        _write_value(fh.write, doc, "\n")
-        fh.write("\n")
-
-
-def _write_value(write, value, newline: str) -> None:
-    # json.dump's indented layout: each item on its own line one space
-    # deeper, "," after all but the last, the closing bracket back at
-    # ``newline``; empty containers and scalars are json.dumps's own text
-    inner = newline + " "
-    if isinstance(value, dict) and value:
-        opener = "{"
-        for key, item in value.items():
-            write(f"{opener}{inner}{json.dumps(key)}: ")
-            if key in _PAYLOAD_KEYS:
-                write('"')
-                write(item)
-                write('"')
-            else:
-                _write_value(write, item, inner)
-            opener = ","
-        write(newline + "}")
-    elif isinstance(value, (list, tuple)) and value:
-        opener = "["
-        for item in value:
-            write(opener + inner)
-            _write_value(write, item, inner)
-            opener = ","
-        write(newline + "]")
-    else:
-        write(json.dumps(value))
+        for piece, payload in zip(pieces, [*payloads, "\n"], strict=True):
+            fh.write(piece)
+            fh.write(payload)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:

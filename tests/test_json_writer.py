@@ -1,8 +1,10 @@
 """Checkpoint and maps files: the writer's bytes are json.dump's bytes."""
 
 import base64
+import gc
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -14,15 +16,15 @@ from hypothesis.extra.numpy import arrays
 
 from otfuse.cli import main
 from otfuse.nets import CheckpointMeta, LayerSpec, LayerWeights, make_checkpoint
-from otfuse.serialize import checkpoint_to_dict, load_checkpoint, save_checkpoint, save_maps
+from otfuse.serialize import _write_json, checkpoint_to_dict, load_checkpoint, save_checkpoint, save_maps
 from otfuse.transport import OtSolution
 
 # Free-text tags are joined from pieces json.dump escapes (quote, backslash,
 # control characters, non-ASCII, a lone surrogate) and pieces that look like
-# JSON syntax.  A fixed list keeps hypothesis from building its unicode tables.
+# JSON syntax or a payload key's slot.  A fixed list keeps hypothesis from building its unicode tables.
 _pieces = st.sampled_from([
     "", "a", '"', "\\", "\x00", "\x1f", "\n", "é", " ", "\ud800", "\U0001f600",
-    "null", '": "', "/", "\t", "{", "]",
+    "null", '": "', "/", "\t", "{", "]", '"w": "', '"b": ""', '"coupling": "', "w",
 ])
 _tags = st.lists(_pieces, max_size=6).map("".join)
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -160,3 +162,18 @@ def test_align_file_bytes_are_pinned(tmp_path, capsys, case, tag, flags):
     assert main(["align", str(a), str(b), "--out", str(out), "--maps-out", str(maps), *flags]) == 0
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (a, out, maps))
     assert digests == PINNED[case]
+
+
+def test_writer_keeps_no_reference_to_a_payload(tmp_path):
+    """A reference cycle in the writer would keep each payload alive until
+    the cycle collector runs; with the collector off, it shows as a count."""
+    doc = checkpoint_to_dict(_net(3, "net"))
+    payload = doc["layers"][0]["w"]
+    gc.disable()
+    try:
+        before = sys.getrefcount(payload)
+        _write_json(doc, tmp_path / "c.json")
+        after = sys.getrefcount(payload)
+    finally:
+        gc.enable()
+    assert after == before
