@@ -10,7 +10,7 @@ aligned average plus a short fine-tune beats everything.
 
 from otfuse.experiment import ExperimentConfig, format_report_text, run_experiment
 
-cfg = ExperimentConfig(seeds=(0, 1, 2), output_dir=None)
+cfg = ExperimentConfig(seeds=(0, 1, 2))
 report = run_experiment(cfg)
 print(format_report_text(report))
 

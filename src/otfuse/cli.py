@@ -9,6 +9,8 @@ rates, which print as percentages with one decimal.
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import sys
 from pathlib import Path
 
@@ -17,8 +19,6 @@ from .errors import DataFormatError, NumericalError, ValidationError
 from .experiment import ExperimentConfig, format_report_csv, format_report_text, run_experiment
 from .fusion import SOLVERS, AlignmentOptions, align, fuse
 from .nets import (
-    DEFAULT_FINETUNE_EPOCHS,
-    DEFAULT_TRAIN_EPOCHS,
     LayerSpec,
     TrainConfig,
     accuracy,
@@ -79,9 +79,9 @@ def _train_config(args) -> TrainConfig:
 
 def _add_train_flags(p, default_epochs: int) -> None:
     p.add_argument("--epochs", type=int, default=default_epochs)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--no-shuffle", action="store_true")
 
 
@@ -210,18 +210,23 @@ def _cmd_experiment(args) -> int:
         finetune_epochs=args.finetune_epochs,
         lam=args.lam,
         solver=args.solver,
-        output_dir=args.out_dir,
     )
+    if args.out_dir is not None:
+        os.makedirs(args.out_dir, exist_ok=True)
+        text_path = os.path.join(args.out_dir, "report.txt")
+        csv_path = os.path.join(args.out_dir, "report.csv")
+        check_writable(text_path, csv_path)
     report = run_experiment(cfg)
-    if args.format == "csv":
-        sys.stdout.write(format_report_csv(report))
-    else:
-        sys.stdout.write(format_report_text(report))
-    if args.out_dir:
+    text, csv = format_report_text(report), format_report_csv(report)
+    sys.stdout.write(csv if args.format == "csv" else text)
+    if args.out_dir is not None:
+        Path(text_path).write_text(text, encoding="utf-8")
+        Path(csv_path).write_text(csv, encoding="utf-8")
         print(f"report files -> {args.out_dir}/report.txt, {args.out_dir}/report.csv")
     return 0
 
 
+@functools.cache  # one parser per process: parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="otfuse", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -229,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a network on a dataset file")
     p.add_argument("arch", help="JSON list of {in_dim, out_dim, activation}")
     p.add_argument("data", help="dataset CSV (header f0,...,label)")
-    _add_train_flags(p, default_epochs=DEFAULT_TRAIN_EPOCHS)
+    _add_train_flags(p, default_epochs=TrainConfig.epochs)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 
@@ -257,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("finetune", help="continue training from a checkpoint")
     p.add_argument("ckpt")
     p.add_argument("data")
-    _add_train_flags(p, default_epochs=DEFAULT_FINETUNE_EPOCHS)
+    _add_train_flags(p, default_epochs=10)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_finetune)
 

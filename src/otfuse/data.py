@@ -7,8 +7,8 @@ random direction.  Sampling uses one independent, seeded stream per domain,
 so generating domain 0 alone yields exactly the domain-0 rows of a joint
 generation.
 
-A ``Dataset`` checks itself and freezes copies of its arrays when it is
-built, so nothing that takes one checks it again.
+``Dataset`` and ``DomainMixtureConfig`` check themselves when built (a
+dataset keeps read-only copies of its arrays), so nothing re-checks one.
 """
 
 from __future__ import annotations
@@ -107,6 +107,18 @@ class DomainMixtureConfig:
     noise_scale: float = 0.6
     mean_scale: float = 2.5
 
+    def __post_init__(self):
+        check_int("num_classes", self.num_classes, 2)
+        for name in ("feature_dim", "train_per_class", "heldout_per_class"):
+            check_int(name, getattr(self, name), 1)
+        check_real("noise_scale", self.noise_scale)
+        check_real("domain_shift", self.domain_shift, FINITE)
+        check_real("mean_scale", self.mean_scale, FINITE)
+        if not self.domains:
+            raise ValidationError("need at least 1 domain")
+        for d in self.domains:
+            check_int("domain index", d, 0)
+
 
 def _class_means(cfg: DomainMixtureConfig, seed: int) -> np.ndarray:
     rng = seeded_rng(seed, 101)
@@ -124,17 +136,6 @@ def _domain_offsets(cfg: DomainMixtureConfig, seed: int, domain: int) -> np.ndar
 
 def gen_synthetic(cfg: DomainMixtureConfig, seed: int) -> tuple[Dataset, Dataset]:
     """Deterministic (train, heldout) pair for the configured domains."""
-    check_int("num_classes", cfg.num_classes, 2)
-    for name in ("feature_dim", "train_per_class", "heldout_per_class"):
-        check_int(name, getattr(cfg, name), 1)
-    check_real("noise_scale", cfg.noise_scale)
-    check_real("domain_shift", cfg.domain_shift, FINITE)
-    check_real("mean_scale", cfg.mean_scale, FINITE)
-    if not cfg.domains:
-        raise ValidationError("need at least 1 domain")
-    for d in cfg.domains:
-        check_int("domain index", d, 0)
-
     means = _class_means(cfg, seed)
     train_x, train_y, held_x, held_y = [], [], [], []
     for domain in cfg.domains:

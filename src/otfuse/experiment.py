@@ -6,11 +6,13 @@ of domains A and B (the generalist, which sees twice the data per epoch).
 Both are then combined four ways -- direct averaging, transport-aligned
 averaging, and each followed by a short fine-tune on the union training
 set -- and every variant is scored on held-out data from each domain.
+
+``ExperimentConfig`` checks its fields, domain shift included, when built;
+``run_experiment`` returns the report and writes no file.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +31,6 @@ from .nets import (
     loss,
     train,  # unused; perfbench/tracer.py TARGETS binds it here (ROADMAP item 1b)
 )
-from .serialize import check_writable
 
 # method key -> report label, in report order
 METHODS = {
@@ -83,7 +84,19 @@ class ExperimentConfig:
     finetune_epochs: int = 10
     lam: float = 0.5
     solver: str = "exact"
-    output_dir: str | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.seeds, (tuple, list)) or not self.seeds:
+            raise ValidationError(f"experiment seeds must be a non-empty tuple or list, got {self.seeds!r}")
+        for seed in self.seeds:
+            check_int("experiment seed", seed)  # negatives wrap to 64 bits
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValidationError(f"experiment seeds must be distinct, got {list(self.seeds)}")
+        check_int("train_epochs", self.train_epochs, 0)
+        check_int("finetune_epochs", self.finetune_epochs, 0)
+        check_real("lam", self.lam, (0.0, 1.0))
+        AlignmentOptions(solver=self.solver)  # the solver's owner checks it
+        replace(TASK, domain_shift=self.domain_shift)  # and the shift's
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,29 +173,8 @@ def run_seed(cfg: ExperimentConfig, seed: int) -> dict[str, list[float]]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    if not isinstance(cfg.seeds, (tuple, list)) or not cfg.seeds:
-        raise ValidationError(f"experiment seeds must be a non-empty tuple or list, got {cfg.seeds!r}")
-    for seed in cfg.seeds:
-        check_int("experiment seed", seed)  # negatives wrap to 64 bits
-    if len(set(cfg.seeds)) != len(cfg.seeds):
-        raise ValidationError(f"experiment seeds must be distinct, got {list(cfg.seeds)}")
-    check_int("train_epochs", cfg.train_epochs, 0)
-    check_int("finetune_epochs", cfg.finetune_epochs, 0)
-    check_real("lam", cfg.lam, (0.0, 1.0))
-    AlignmentOptions(solver=cfg.solver)  # rejects an unknown solver before any training
-    if cfg.output_dir is not None:
-        os.makedirs(cfg.output_dir, exist_ok=True)
-        text_path = os.path.join(cfg.output_dir, "report.txt")
-        csv_path = os.path.join(cfg.output_dir, "report.csv")
-        check_writable(text_path, csv_path)
     rows = [run_seed(cfg, seed) for seed in cfg.seeds]
-    report = ExperimentReport(cfg, {m: np.array([r[m] for r in rows]) for m in METHODS})
-    if cfg.output_dir is not None:
-        with open(text_path, "w", encoding="utf-8") as fh:
-            fh.write(format_report_text(report))
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(format_report_csv(report))
-    return report
+    return ExperimentReport(cfg, {m: np.array([r[m] for r in rows]) for m in METHODS})
 
 
 def _summary(report: ExperimentReport) -> dict[str, list[tuple[float, float]]]:

@@ -22,9 +22,6 @@ from .errors import FINITE, NumericalError, ValidationError, check_int, check_re
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 
-DEFAULT_TRAIN_EPOCHS = 200
-DEFAULT_FINETUNE_EPOCHS = 10
-
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -74,7 +71,7 @@ class Checkpoint:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = DEFAULT_TRAIN_EPOCHS
+    epochs: int = 200
     batch_size: int = 16
     learning_rate: float = 0.1
     seed: int = 0

@@ -229,6 +229,19 @@ def test_experiment_smoke_and_stability(workdir, capsys):
     assert (outdir / "report.csv").read_bytes() == first  # byte-stable
 
 
+def test_flags_do_not_carry_over_between_calls(workdir):
+    """main parses every call with one parser; a flag given in one call is
+    unset in the next."""
+    args = ["train", str(workdir / "arch.json"), str(workdir / "train.csv"), "--epochs", "3"]
+    alone, unshuffled, after = (workdir / f"{name}.json" for name in ("alone", "unshuffled", "after"))
+    assert main(args + ["--out", str(alone)]) == 0
+    assert main(args + ["--no-shuffle", "--out", str(unshuffled)]) == 0
+    assert main(args + ["--out", str(after)]) == 0
+    assert unshuffled.read_bytes() != alone.read_bytes()
+    assert after.read_bytes() == alone.read_bytes()
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_experiment_epochs_zero_ordering(workdir, capsys):
     rc = main(["experiment", "--seeds", "0", "--train-epochs", "0",
                "--finetune-epochs", "0", "--format", "csv"])
@@ -488,6 +501,19 @@ class TestExitCodes:
         assert main(["experiment", "--seeds", "0,1",
                      "--out-dir", str(workdir / "afile" / "sub")]) == 2
         assert "Not a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--domain-shift", "nan"), ("--lam", "2"), ("--seeds", "0,0"),
+    ])
+    def test_bad_experiment_setting_is_two_and_makes_no_out_dir(self, workdir, capsys, flag, value):
+        out_dir = workdir / "new"
+        assert main(["experiment", flag, value, "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out_dir.exists()
+
+    def test_empty_out_dir_is_two(self, workdir, capsys):
+        assert main(["experiment", "--train-epochs", "0", "--finetune-epochs", "0", "--out-dir", ""]) == 2
+        assert "No such file or directory" in capsys.readouterr().err
 
     def test_unwritable_report_is_two_before_any_seed(self, workdir, capsys, monkeypatch):
         run_seed, seeds = experiment.run_seed, []

@@ -83,6 +83,16 @@ class TestGenSynthetic:
         with pytest.raises(ValidationError):
             gen_synthetic(DomainMixtureConfig(domains=()), 0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("noise_scale", 0.0), ("num_classes", 1), ("domains", ()),
+        ("num_classes", 2.5), ("noise_scale", "1"), ("train_per_class", True),
+        *[(field, value) for field in ("domain_shift", "mean_scale")
+          for value in ("2", True, math.nan, math.inf, -math.inf)],
+    ])
+    def test_config_checks_itself_when_built(self, field, value):
+        with pytest.raises(ValidationError):
+            DomainMixtureConfig(**{field: value})
+
     def test_per_domain_counts(self):
         cfg = DomainMixtureConfig(num_classes=4, train_per_class=7, heldout_per_class=3)
         train, held = gen_synthetic(cfg, 0)

@@ -668,11 +668,13 @@ def test_default_experiment_report_is_pinned():
     assert digest == "710d2e103eb95f507a5113bbb3dc8961a1afdb4301ae6a9168f209e5a7363cfb"
 
 
+# each case is the keyword arguments of a config, built inside the test:
+# ExperimentConfig rejects them when it is built
 @pytest.mark.parametrize("cfg", [
-    ExperimentConfig(lam=2.0), ExperimentConfig(solver="bogus"), ExperimentConfig(lam="0.5"),
-    ExperimentConfig(train_epochs=0.5), ExperimentConfig(seeds=(0.5,)), ExperimentConfig(seeds=(True,)),
-    ExperimentConfig(seeds=("1",)), ExperimentConfig(domain_shift="2"),
-    ExperimentConfig(seeds=np.arange(2)), ExperimentConfig(seeds=5), ExperimentConfig(seeds=0),
+    dict(lam=2.0), dict(solver="bogus"), dict(lam="0.5"),
+    dict(train_epochs=0.5), dict(seeds=(0.5,)), dict(seeds=(True,)),
+    dict(seeds=("1",)), dict(domain_shift="2"),
+    dict(seeds=np.arange(2)), dict(seeds=5), dict(seeds=0),
 ])
 def test_experiment_rejects_bad_config_before_training(cfg, monkeypatch):
     def no_training(*args, **kwargs):
@@ -680,7 +682,7 @@ def test_experiment_rejects_bad_config_before_training(cfg, monkeypatch):
 
     monkeypatch.setattr(experiment, "finetune_stack", no_training)
     with pytest.raises(ValidationError):
-        run_experiment(cfg)
+        run_experiment(ExperimentConfig(**cfg))
 
 
 def test_negative_seed_wraps_to_64_bits():
