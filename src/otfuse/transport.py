@@ -22,7 +22,12 @@ run on a copy of the cost with the free columns first, so a step is one
 The solve then refines ties to the lexicographically smallest optimal
 assignment by alternating-cycle search, so results are bit-reproducible;
 columns on no alternating cycle are trimmed first, as no other optimal
-assignment moves them.  The whole solve, tie refinement included, is
+assignment moves them.  On the columns left, rows with one neighbourhood
+in the tight graph take their columns in index order first: twins can
+swap columns, so the smallest assignment holds them in order, and the
+search reaches it from any start.  That costs one sort of the graph
+packed into m^2/8 bytes and spares a pruned layer's block of identical
+units a search per row.  The whole solve, tie refinement included, is
 O(m^3).
 ``solve_sinkhorn`` returns the entropic soft coupling from one scaling loop
 on a kernel that log potentials keep in range for any eps; when the sweeps
@@ -348,6 +353,15 @@ def _lex_smallest_assignment(zero: np.ndarray, col_for_row: np.ndarray) -> np.nd
     starts from (Dulmage-Mendelsohn); those edges leave ``zero`` and the
     matched ones stay.  Each peel costs O(m) plus O(m) per dropped column, O(m^2) in
     all, and when no column is left the matching is returned as it is.
+
+    On what the peel keeps, twin rows (rows with one neighbourhood) then take
+    their columns in ascending order, the lowest row the lowest column.  Two
+    twins can swap columns and the matching stays perfect, so the smallest
+    matching holds every twin group in order; and the row loop reaches it
+    from any perfect matching, so the step changes no result, only how many
+    rows move.  A pruned layer's zeroed units are one such group, which the
+    loop would otherwise sort one backward search at a time.  The step packs
+    the graph into m^2/8 bytes and groups its rows with one sort.
     """
     n = zero.shape[0]
     col = np.array(col_for_row, dtype=np.int64)
@@ -371,6 +385,11 @@ def _lex_smallest_assignment(zero: np.ndarray, col_for_row: np.ndarray) -> np.nd
         return col
     zero = zero & keep[col][:, None] & keep[None, :]
     zero[np.arange(n), col] = True
+    # each group of twin rows takes its columns in ascending order
+    packed = np.packbits(zero, axis=1)
+    twins = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_inverse=True)[1]
+    col[np.argsort(twins, kind="stable")] = col[np.lexsort((col, twins))]
+    row_of[col] = np.arange(n)
     free = np.ones(n, dtype=bool)
     succ = np.empty(n, dtype=np.int64)
     for i in range(n):

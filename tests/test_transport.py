@@ -240,6 +240,52 @@ class TestTieRefinement:
             zero[np.arange(m), col] = True
             assert np.array_equal(_lex_smallest_assignment(zero, col), kuhn_lex_assignment(zero))
 
+    @pytest.mark.parametrize("m", [64, 128, 256])
+    def test_twin_groups_give_one_result_from_any_start(self, m):
+        rng = np.random.default_rng(1000 + m)
+        planted = rng.permutation(m)
+        zero = rng.random((m, m)) < 1.5 / m
+        zero[np.arange(m), planted] = True
+        rows = rng.permutation(m)
+        # twin rows: a complete block of m // 4, as a pruned layer gives, and
+        # two small groups sharing their edges; then twin columns, in two
+        # groups matched to rows outside the block
+        block = rows[: m // 4]
+        zero[block] = False
+        zero[np.ix_(block, planted[block])] = True
+        row_groups = [block, *np.split(rows[m // 4 : m // 4 + 12], [2])]
+        col_groups = np.split(planted[rows[m // 4 + 12 : m // 4 + 30]], [3])
+        for g in row_groups[1:]:
+            zero[g] = zero[g].any(axis=0)
+        for g in col_groups:
+            zero[:, g] = zero[:, g].any(axis=1)[:, None]
+        expected = kuhn_lex_assignment(zero)
+        for shuffle_rows, shuffle_cols in ((False, False), (True, False), (False, True), (True, True)):
+            col = planted.copy()
+            if shuffle_rows:
+                for g in row_groups:
+                    col[g] = col[rng.permutation(g)]
+            if shuffle_cols:
+                row_of = np.argsort(col)
+                for g in col_groups:
+                    row_of[g] = row_of[rng.permutation(g)]
+                col[row_of] = np.arange(m)
+            assert np.array_equal(_lex_smallest_assignment(zero, col), expected)
+
+    @pytest.mark.parametrize("m", [96, 128])
+    def test_one_side_pruned_matches_reference_lap(self, m):
+        # half of A's rows zeroed against a dense B: the zeroed rows have one
+        # cost row, so they are twin rows; B against A gives twin columns.
+        # The Kuhn oracle takes about 24 s at m = 256, so m stays small
+        rng = np.random.default_rng(2000 + m)
+        a, b = rng.standard_normal((m, 8)), rng.standard_normal((m, 8))
+        a[rng.permutation(m)[: m // 2]] = 0.0
+        for d in (transport.row_distance_matrix(a, b), transport.row_distance_matrix(b, a)):
+            tol = 1e-9 * float(d.max())
+            _, ref_u, ref_v = reference_lap(d)
+            ref_zero = d - ref_u[1:, None] - ref_v[None, 1:] <= tol
+            assert np.array_equal(solve_exact(d).assignment, kuhn_lex_assignment(ref_zero))
+
     @pytest.mark.parametrize("m", [64, 256, 1024])
     def test_objective_matches_scipy(self, m):
         scipy_optimize = pytest.importorskip("scipy.optimize")
