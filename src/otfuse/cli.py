@@ -211,14 +211,25 @@ def _cmd_experiment(args) -> int:
         lam=args.lam,
         solver=args.solver,
     )
+    made, text_path, csv_path = [], None, None  # made: new --out-dir directories, deepest first
     if args.out_dir is not None:
+        path = os.path.abspath(args.out_dir)
+        while not os.path.exists(path):
+            made.append(path)
+            path = os.path.dirname(path)
         os.makedirs(args.out_dir, exist_ok=True)
         text_path = os.path.join(args.out_dir, "report.txt")
         csv_path = os.path.join(args.out_dir, "report.csv")
+    try:
         check_writable(text_path, csv_path)
-    report = run_experiment(cfg)
-    text, csv = format_report_text(report), format_report_csv(report)
-    sys.stdout.write(csv if args.format == "csv" else text)
+        report = run_experiment(cfg)
+        text, csv = format_report_text(report), format_report_csv(report)
+        sys.stdout.write(csv if args.format == "csv" else text)
+    except BaseException:
+        # a failed run leaves no output, and the directories it made hold none yet
+        for path in made:
+            os.rmdir(path)
+        raise
     if args.out_dir is not None:
         Path(text_path).write_text(text, encoding="utf-8")
         Path(csv_path).write_text(csv, encoding="utf-8")

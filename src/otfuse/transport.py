@@ -22,13 +22,14 @@ run on a copy of the cost with the free columns first, so a step is one
 The solve then refines ties to the lexicographically smallest optimal
 assignment by alternating-cycle search, so results are bit-reproducible;
 columns on no alternating cycle are trimmed first, as no other optimal
-assignment moves them.  On the columns left, rows with one neighbourhood
-in the tight graph take their columns in index order first: twins can
-swap columns, so the smallest assignment holds them in order, and the
-search reaches it from any start.  That costs one sort of the graph
-packed into m^2/8 bytes and spares a pruned layer's block of identical
-units a search per row.  The whole solve, tie refinement included, is
-O(m^3).
+assignment moves them.  The search skips their rows and never offers them,
+so it reads the tight graph as built, with no copy or mask.  Rows with one
+neighbourhood in that graph take their columns in index order first:
+twins can swap columns, so the smallest assignment holds them in order,
+and the search reaches it from any start.  That costs one sort of the
+graph packed into m^2/8 bytes and spares a pruned layer's block of
+identical units a search per row.  The whole solve, tie refinement
+included, is O(m^3).
 ``solve_sinkhorn`` returns the entropic soft coupling from one scaling loop
 on a kernel that log potentials keep in range for any eps; when the sweeps
 stall near a hard assignment, Newton's method on the log potentials
@@ -348,20 +349,21 @@ def _lex_smallest_assignment(zero: np.ndarray, col_for_row: np.ndarray) -> np.nd
 
     Before the row loop, columns with no in-edge or no out-edge among the
     columns left are dropped, again and again, until every column left has
-    both.  An edge that touches a dropped column lies on no alternating
-    cycle, so it is in no other perfect matching, whichever one the search
-    starts from (Dulmage-Mendelsohn); those edges leave ``zero`` and the
-    matched ones stay.  Each peel costs O(m) plus O(m) per dropped column, O(m^2) in
-    all, and when no column is left the matching is returned as it is.
+    both.  A dropped column lies on no alternating cycle, so every perfect
+    matching gives it the same row (Dulmage-Mendelsohn); no search path from
+    a kept candidate passes it, as that path would close a cycle; and its
+    row has no twin, as twins can swap.  So the loop skips its row and never
+    offers it, and reads ``zero`` as given.  Each peel costs O(m) plus O(m)
+    per dropped column, O(m^2) in all; if no column is kept, col is returned.
 
-    On what the peel keeps, twin rows (rows with one neighbourhood) then take
-    their columns in ascending order, the lowest row the lowest column.  Two
-    twins can swap columns and the matching stays perfect, so the smallest
-    matching holds every twin group in order; and the row loop reaches it
-    from any perfect matching, so the step changes no result, only how many
-    rows move.  A pruned layer's zeroed units are one such group, which the
-    loop would otherwise sort one backward search at a time.  The step packs
-    the graph into m^2/8 bytes and groups its rows with one sort.
+    Twin rows (rows with one neighbourhood) then take their columns in
+    ascending order, the lowest row the lowest column.  Two twins can swap
+    columns and the matching stays perfect, so the smallest matching holds
+    every twin group in order; and the row loop reaches it from any perfect
+    matching, so the step changes no result, only how many rows move.  A
+    pruned layer's zeroed units are one such group, which the loop would
+    otherwise sort one backward search at a time.  The step packs the graph
+    into m^2/8 bytes and groups its rows with one sort.
     """
     n = zero.shape[0]
     col = np.array(col_for_row, dtype=np.int64)
@@ -369,30 +371,27 @@ def _lex_smallest_assignment(zero: np.ndarray, col_for_row: np.ndarray) -> np.nd
         raise NumericalError("assignment is not inside the zero reduced-cost graph; duals inconsistent")
     row_of = np.empty(n, dtype=np.int64)
     row_of[col] = np.arange(n)
-    # peel the alternating graph down to columns with an in- and an out-edge
-    step = zero[row_of]
-    step[np.arange(n), np.arange(n)] = False
-    outs, ins = step.sum(axis=1), step.sum(axis=0)
+    # peel to columns with an in- and an out-edge; column c's out-edges are
+    # row_of[c]'s tight edges and its in-edges c's, each less (row_of[c], c)
+    outs, ins = zero.sum(axis=1)[row_of] - 1, zero.sum(axis=0) - 1
     keep = np.ones(n, dtype=bool)
     while True:
         drop = np.flatnonzero(keep & ((outs == 0) | (ins == 0)))
         if not drop.size:
             break
         keep[drop] = False
-        outs -= step[:, drop].sum(axis=1)
-        ins -= step[drop].sum(axis=0)
+        outs -= zero[:, drop].sum(axis=1)[row_of]
+        ins -= zero[row_of[drop]].sum(axis=0)
     if not keep.any():
         return col
-    zero = zero & keep[col][:, None] & keep[None, :]
-    zero[np.arange(n), col] = True
     # each group of twin rows takes its columns in ascending order
     packed = np.packbits(zero, axis=1)
     twins = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_inverse=True)[1]
     col[np.argsort(twins, kind="stable")] = col[np.lexsort((col, twins))]
     row_of[col] = np.arange(n)
-    free = np.ones(n, dtype=bool)
+    free = keep.copy()
     succ = np.empty(n, dtype=np.int64)
-    for i in range(n):
+    for i in np.flatnonzero(keep[col]):
         c0 = int(col[i])
         cand = np.flatnonzero(zero[i, :c0] & free[:c0])
         if cand.size:

@@ -511,6 +511,19 @@ class TestExitCodes:
         assert capsys.readouterr().out == ""
         assert not out_dir.exists()
 
+    def test_diverged_experiment_is_three_and_removes_the_out_dir_it_made(self, workdir, capsys):
+        diverge = ["experiment", "--domain-shift", "1e300", "--train-epochs", "1", "--finetune-epochs", "1"]
+        assert main([*diverge, "--out-dir", str(workdir / "new" / "sub")]) == 3
+        assert "diverged" in capsys.readouterr().err
+        assert not (workdir / "new").exists()
+        # an out-dir that was there before the run stays, with its files
+        out_dir = workdir / "old"
+        out_dir.mkdir()
+        (out_dir / "notes.txt").write_text("kept\n")
+        assert main([*diverge, "--out-dir", str(out_dir)]) == 3
+        assert sorted(p.name for p in out_dir.iterdir()) == ["notes.txt"]
+        assert (out_dir / "notes.txt").read_text() == "kept\n"
+
     def test_empty_out_dir_is_two(self, workdir, capsys):
         assert main(["experiment", "--train-epochs", "0", "--finetune-epochs", "0", "--out-dir", ""]) == 2
         assert "No such file or directory" in capsys.readouterr().err

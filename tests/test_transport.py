@@ -226,19 +226,27 @@ class TestTieRefinement:
 
     def test_cycle_in_one_part_only_matches_kuhn_oracle(self):
         rng = np.random.default_rng(4)
-        for _ in range(20):
-            # columns 0-5 carry a chain and one-way edges into columns 6-11,
-            # which hold a dense tie block around a random matching
+        for trial in range(40):
+            # columns 0-5 carry a chain, and columns 6-11 hold a dense tie
+            # block around a random matching.  In the first 20 draws the
+            # chain's rows have one-way edges into the block's columns; in
+            # the last 20 the block's rows have one-way edges into the
+            # chain's columns, which the peel drops while the rows stay
             m, k = 12, 6
             zero = np.zeros((m, m), dtype=bool)
             zero[np.arange(k), np.arange(k)] = True
             zero[np.arange(1, k), np.arange(k - 1)] = True
-            zero[:k, k:] = rng.random((k, m - k)) < 0.3
+            if trial < 20:
+                zero[:k, k:] = rng.random((k, m - k)) < 0.3
+            else:
+                zero[k:, :k] = rng.random((m - k, k)) < 0.3
             zero[k:, k:] = rng.random((m - k, m - k)) < 0.4
             col = np.arange(m)
             col[k:] = k + rng.permutation(m - k)
             zero[np.arange(m), col] = True
+            given = zero.tobytes()
             assert np.array_equal(_lex_smallest_assignment(zero, col), kuhn_lex_assignment(zero))
+            assert zero.tobytes() == given
 
     @pytest.mark.parametrize("m", [64, 128, 256])
     def test_twin_groups_give_one_result_from_any_start(self, m):
@@ -260,6 +268,7 @@ class TestTieRefinement:
         for g in col_groups:
             zero[:, g] = zero[:, g].any(axis=1)[:, None]
         expected = kuhn_lex_assignment(zero)
+        given = zero.tobytes()
         for shuffle_rows, shuffle_cols in ((False, False), (True, False), (False, True), (True, True)):
             col = planted.copy()
             if shuffle_rows:
@@ -271,6 +280,7 @@ class TestTieRefinement:
                     row_of[g] = row_of[rng.permutation(g)]
                 col[row_of] = np.arange(m)
             assert np.array_equal(_lex_smallest_assignment(zero, col), expected)
+            assert zero.tobytes() == given
 
     @pytest.mark.parametrize("m", [96, 128])
     def test_one_side_pruned_matches_reference_lap(self, m):
