@@ -270,7 +270,13 @@ def _backprop(specs, params, grads, x: np.ndarray, onehot: np.ndarray) -> None:
     for spec, (_, wt, b) in zip(specs, params):
         acts.append(_layer_forward(acts[-1], wt, b, spec.activation))
 
-    delta = acts[-1] - acts[-1].max(axis=-1, keepdims=True)
+    # the class max column by column: over so short an axis a few
+    # elementwise maxima cost less than one reduce
+    logits = acts[-1]
+    top = logits[..., :1]
+    for c in range(1, logits.shape[-1]):
+        top = np.maximum(top, logits[..., c : c + 1])
+    delta = logits - top
     np.exp(delta, out=delta)
     delta /= delta.sum(axis=-1, keepdims=True)
     delta -= onehot

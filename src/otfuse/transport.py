@@ -31,8 +31,9 @@ graph packed into m^2/8 bytes and spares a pruned layer's block of
 identical units a search per row.  The whole solve, tie refinement
 included, is O(m^3).
 ``solve_sinkhorn`` returns the entropic soft coupling from one scaling loop
-on a kernel that log potentials keep in range for any eps; when the sweeps
-stall near a hard assignment, Newton's method on the log potentials
+on a kernel that log potentials keep in range for any eps; its sweeps are
+over-relaxed at a factor measured from their own contraction rate, and when
+they stall near a hard assignment, Newton's method on the log potentials
 (Brauer, Clason, Lorenz & Wirth, 2017) finishes the solve in a few steps.
 ``brute_force_ot`` enumerates all m! permutations and exists purely as an
 oracle.
@@ -443,7 +444,8 @@ def solve_exact(cost) -> OtSolution:
     d = _check_cost(cost)
     col_for_row, u, v, searches = _jonker_volgenant(d)
     tol = 1e-9 * float(d.max())
-    reduced = d - u[:, None] - v[None, :]
+    reduced = d - u[:, None]
+    reduced -= v  # in place: one m x m temporary fewer
     assign = _lex_smallest_assignment(reduced <= tol, col_for_row)
     return permutation_solution(d, assign, "exact", iterations=searches)
 
@@ -582,10 +584,28 @@ def solve_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: 
     ``tol / 100``, after which the sweeps resume on the rebuilt kernel and
     their own residual test decides convergence.  The polish runs at most
     once per solve; where it cannot descend (a singular system, or an
-    underflowed kernel) the sweeps simply carry on.  ``iterations`` counts
-    sweeps.  Hitting ``max_iter`` sweeps first returns the last iterate
-    flagged as unconverged rather than raising.  Either way the coupling is
-    rounded onto the uniform-marginal polytope before being returned.
+    underflowed kernel) the sweeps simply carry on.
+
+    The first check never stalls.  If its residual r_50 is at most half the
+    first sweep's r_1, the sweeps from then on are over-relaxed (Thibault,
+    Chizat, Dossal & Papadakis, Algorithms 14(5), 2021): ``u <- u * ((1/m) /
+    (u * Kv))**w``, then the same for ``v``, with the row sums ``u * Kv`` the
+    residual already formed.  ``w = 2 / (1 + sqrt(1 - theta))`` is the
+    optimal factor for the plain sweeps' contraction rate theta (Lehmann,
+    von Renesse, Sambale & Uschmajew, Optim. Lett. 16, 2022), measured as
+    ``(r_50 / r_1) ** (1 / 49)``.  An over-relaxed sweep's columns are not
+    exact, so once its row residual reaches ``tol`` a plain column update
+    follows and the row residual is tested again: a solve converges on the
+    same test as a plain one.  A later check that stalls returns the loop
+    to plain sweeps and the polish; so does an over-relaxed step that is
+    not finite, which is then redone as a plain sweep from the iterate
+    before it.  A solve that converges before the first check, or whose
+    residual has not halved by then, runs exactly the plain sweeps.
+
+    ``iterations`` counts sweeps.  Hitting ``max_iter`` sweeps first
+    returns the last iterate flagged as unconverged rather than raising.
+    Either way the coupling is rounded onto the uniform-marginal polytope
+    before being returned.
     """
     d = _check_cost(cost)
     n = d.shape[0]
@@ -607,23 +627,49 @@ def solve_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: 
     g = (scaled - f[:, None]).min(axis=0)
     kernel = _kernel(scaled, f, g)
     u = v = np.ones(n)
-    kv = kernel @ v
+    kv = rows = kernel @ v  # rows = u * kv, what the over-relaxed step reads
+    omega = 1.0  # the over-relaxation factor; 1 runs plain sweeps
     polished = False
-    checked = np.inf  # the row residual at the last stall check
+    first = checked = np.inf  # the row residual after sweep 1, and at the last stall check
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for iterations in range(1, max_iter + 1):
-            u = target / kv
-            v = target / (kernel.T @ u)
-            kv = kernel @ v
-            # columns are exact after the v update, so only rows are tested
-            residual = np.abs(u * kv - target).max()
-            if not math.isfinite(residual):
-                raise SinkhornUnderflowError(f"eps={eps:g} is too small: a kernel row or column sum hit 0 or inf")
+            if omega > 1.0:
+                u1 = u * (target / rows) ** omega
+                ku = kernel.T @ u1
+                v1 = v * (target / (v * ku)) ** omega
+                kv1 = kernel @ v1
+                rows1 = u1 * kv1
+                residual = np.abs(rows1 - target).max()
+                if math.isfinite(residual):
+                    u, v, kv, rows = u1, v1, kv1, rows1
+                else:
+                    omega = 1.0  # redo the sweep plain, and stay plain
+            if omega == 1.0:
+                u = target / kv
+                ku = kernel.T @ u
+                v = target / ku
+                kv = kernel @ v
+                # columns are exact after the v update, so only rows are tested
+                rows = u * kv
+                residual = np.abs(rows - target).max()
+                if not math.isfinite(residual):
+                    raise SinkhornUnderflowError(f"eps={eps:g} is too small: a kernel row or column sum hit 0 or inf")
+            elif residual <= tol:
+                # convergence is judged as in a plain sweep: columns exact
+                v = target / ku
+                kv = kernel @ v
+                rows = u * kv
+                residual = np.abs(rows - target).max()
             if residual <= tol:
                 break
+            if iterations == 1:
+                first = residual
             stalled = False
             if not polished and iterations % _STALL_EVERY == 0:
                 stalled = residual > checked / 2
+                if iterations == _STALL_EVERY and residual <= first / 2:
+                    theta = (residual / first) ** (1 / (_STALL_EVERY - 1))
+                    omega = 2 / (1 + math.sqrt(1 - theta))
                 checked = residual
             if stalled or max(u.max(), v.max()) > _ABSORB_ABOVE:
                 # a tiny scaling forces a huge one on the other side, so
@@ -631,10 +677,11 @@ def solve_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: 
                 f, g = f + np.log(u), g + np.log(v)
                 if stalled:
                     polished = True
+                    omega = 1.0
                     f, g = _newton_polish(scaled, f, g, tol / 100)
                 kernel = _kernel(scaled, f, g)
                 u = v = np.ones(n)
-                kv = kernel @ v
+                kv = rows = kernel @ v
 
     t = u[:, None] * kernel * v[None, :]
     if not np.isfinite(t).all():

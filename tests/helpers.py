@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from otfuse.data import Dataset, DomainMixtureConfig, gen_synthetic
@@ -18,6 +20,7 @@ from otfuse.nets import (
 )
 from otfuse.transport import (
     _ABSORB_ABOVE,
+    _STALL_EVERY,
     OtSolution,
     _check_cost,
     _kernel,
@@ -414,10 +417,12 @@ def reference_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_it
     )
 
 
-def sweeps_only_sinkhorn(cost, eps: float, tol: float = 1e-9, max_iter: int = 10000):
+def sweeps_only_sinkhorn(cost, eps: float, tol: float = 1e-9, max_iter: int = 10000, relax: bool = True):
     """``solve_sinkhorn``'s stabilized scaling loop without the stall test
-    and Newton polish.  Returns (rounded coupling, sweeps, converged); a
-    solve whose stall test never fires must match it bit for bit."""
+    and Newton polish: plain sweeps, over-relaxed from the first check on
+    when ``relax`` and the residual has halved since sweep 1.  Returns
+    (rounded coupling, sweeps, converged); a solve whose stall test never
+    fires must match it bit for bit."""
     scaled = _check_cost(cost) / eps
     n = scaled.shape[0]
     target = 1.0 / n
@@ -426,14 +431,31 @@ def sweeps_only_sinkhorn(cost, eps: float, tol: float = 1e-9, max_iter: int = 10
     kernel = _kernel(scaled, f, g)
     u = v = np.ones(n)
     kv = kernel @ v
+    omega = 1.0
     converged = False
     for iterations in range(1, max_iter + 1):
-        u = target / kv
-        v = target / (kernel.T @ u)
+        if omega == 1.0:
+            u = target / kv
+            ku = kernel.T @ u
+            v = target / ku
+        else:
+            u = u * (target / (u * kv)) ** omega
+            ku = kernel.T @ u
+            v = v * (target / (v * ku)) ** omega
         kv = kernel @ v
-        if np.abs(u * kv - target).max() <= tol:
+        residual = np.abs(u * kv - target).max()
+        if residual <= tol and omega > 1.0:
+            v = target / ku
+            kv = kernel @ v
+            residual = np.abs(u * kv - target).max()
+        if residual <= tol:
             converged = True
             break
+        if iterations == 1:
+            first = residual
+        if relax and iterations == _STALL_EVERY and residual <= first / 2:
+            theta = (residual / first) ** (1 / (_STALL_EVERY - 1))
+            omega = 2 / (1 + math.sqrt(1 - theta))
         if max(u.max(), v.max()) > _ABSORB_ABOVE:
             f = f + np.log(u)
             g = g + np.log(v)

@@ -2,6 +2,9 @@ import base64
 import functools
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from otfuse import cli, experiment, fusion, nets, transport
 from otfuse.cli import main
 from otfuse.data import DomainMixtureConfig, gen_synthetic, save_dataset_csv
 from otfuse.fusion import AlignmentOptions, align
-from otfuse.nets import LayerSpec
+from otfuse.nets import CheckpointMeta, LayerSpec, LayerWeights, make_checkpoint
 from otfuse.serialize import load_checkpoint, save_checkpoint
 from helpers import random_checkpoint
 
@@ -134,6 +137,35 @@ def test_align_warns_on_unconverged_layers(workdir, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert "warning" not in out
     assert [line.split(":")[0:2] for line in err.splitlines()] == [["warning", " layer 0"]]
+
+
+def test_sinkhorn_align_of_a_pruned_pair_converges(tmp_path):
+    # half of each net's 64 hidden units are pruned (zero in- and out-weights
+    # and bias), so a quarter of layer 0's cost is exactly 0; plain sweeps
+    # and the polish ran all 10000 sweeps on it and align warned
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((64, 16))
+    b = a[rng.permutation(64)] + rng.standard_normal((64, 16))
+    a[rng.permutation(64)[:32]] = 0.0
+    b[rng.permutation(64)[:32]] = 0.0
+    specs = (LayerSpec(16, 64, "relu"), LayerSpec(64, 5, "identity"))
+    paths = []
+    for name, w in (("a.json", a), ("b.json", b)):
+        pruned = ~w.any(axis=1)
+        bias, out = rng.standard_normal(64), rng.standard_normal((5, 64))
+        bias[pruned] = out[:, pruned] = 0.0
+        layers = [LayerWeights(w, bias), LayerWeights(out, rng.standard_normal(5))]
+        paths.append(str(tmp_path / name))
+        save_checkpoint(make_checkpoint(specs, layers, CheckpointMeta(seed=0, tag="pruned")), paths[-1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "otfuse", "align", *paths, "--solver", "sinkhorn",
+         "--out", str(tmp_path / "aligned.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "did not converge" not in proc.stderr
 
 
 @pytest.mark.parametrize("flags, opts", [

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -150,6 +151,27 @@ class TestSolveExact:
         d = rng.uniform(0.5, 2, (12, 12))
         np.fill_diagonal(d, 0.0)
         assert solve_exact(d).iterations == 0
+
+    @pytest.mark.parametrize("kind", ["uniform", "row distance"])
+    def test_peak_memory_beyond_the_input(self, kind):
+        # at width 256 the solve holds 1.36-1.42 m^2 float64 beyond its
+        # input; forming the reduced costs as d - u - v in one expression
+        # kept a second m x m temporary alive and peaked at 2.15 m^2
+        m = 256
+        rng = np.random.default_rng(13)
+        if kind == "uniform":
+            d = rng.uniform(0, 1, (m, m))
+        else:
+            x = rng.standard_normal((m, 32))
+            d = transport.row_distance_matrix(x, x[rng.permutation(m)] + 0.3 * rng.standard_normal((m, 32)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve_exact(d)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * d.nbytes
 
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError):
@@ -622,10 +644,11 @@ class TestNewtonPolish:
             assert sol.converged
             assert sol.iterations < 1000
 
-    @pytest.mark.parametrize("m, eps", [(6, 0.5), (32, 0.02)])
+    @pytest.mark.parametrize("m, eps", [(6, 0.5), (32, 0.01)])
     def test_unstalled_solve_matches_sweeps_bit_for_bit(self, monkeypatch, m, eps):
-        # (6, 0.5) converges before the first stall check; (32, 0.02) takes
-        # 155 sweeps, and each check finds the residual 200 times smaller
+        # (6, 0.5) converges before the first stall check; (32, 0.01) takes
+        # 185 sweeps, over-relaxed from sweep 51 on, and each later check
+        # finds the residual about 200 times smaller
         def no_polish(*a):
             raise AssertionError("the stall test fired")
 
@@ -677,10 +700,91 @@ class TestNewtonPolish:
         validate_transport_map(sol.map)
 
 
+class TestOverRelaxation:
+    def test_tie_heavy_cost_converges_at_default_eps(self):
+        # pruned-style rows: half the rows of each side are zero, so a
+        # quarter of the cost is exactly 0.  Plain sweeps and the polish
+        # ran all 10000 sweeps on this cost without converging
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal((64, 16))
+        b = a[rng.permutation(64)] + rng.standard_normal((64, 16))
+        a[rng.permutation(64)[:32]] = 0.0
+        b[rng.permutation(64)[:32]] = 0.0
+        d = transport.row_distance_matrix(a, b)
+        assert (d == 0).mean() == 0.25
+        sol = solve_sinkhorn(d)
+        assert sol.converged
+        assert sol.iterations < 1000
+
+    def test_default_eps_draw_takes_fewer_sweeps(self, monkeypatch):
+        # the residual falls 22-fold by the first check, so the sweeps are
+        # over-relaxed from then on; plain sweeps take 171 on this draw
+        def no_polish(*a):
+            raise AssertionError("the stall test fired")
+
+        monkeypatch.setattr(transport, "_newton_polish", no_polish)
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((32, 16))
+        y = x[rng.permutation(32)] + 3.0 * rng.standard_normal((32, 16))
+        d = transport.row_distance_matrix(x, y)
+        sol = solve_sinkhorn(d)
+        assert sol.converged
+        assert sol.iterations == 93
+        _, plain, converged = sweeps_only_sinkhorn(d, eps=0.01 * float(d.mean()), relax=False)
+        assert converged and plain == 171
+
+    def test_absorption_while_relaxed_matches_sweeps_bit_for_bit(self, monkeypatch):
+        # over-relaxed from sweep 51, the scalings pass _ABSORB_ABOVE in
+        # sweep 68, and the next sweep reads the rebuilt kernel's row sums;
+        # 99 sweeps stop short of the second stall check
+        builds = []
+        kernel = transport._kernel
+        monkeypatch.setattr(transport, "_kernel", lambda *a: builds.append(1) or kernel(*a))
+        d = np.random.default_rng(1).uniform(0, 1, (12, 12))
+        eps = 1e-3 * float(d.mean())
+        sol = solve_sinkhorn(d, eps=eps, max_iter=99)
+        t, sweeps, converged = sweeps_only_sinkhorn(d, eps=eps, max_iter=99)
+        assert len(builds) == 2
+        assert not sol.converged and not converged
+        assert sol.iterations == sweeps == 99
+        assert np.array_equal(sol.map, t)
+        assert not np.array_equal(t, sweeps_only_sinkhorn(d, eps=eps, max_iter=99, relax=False)[0])
+
+    def test_non_finite_relaxed_step_falls_back_to_plain_sweeps(self, monkeypatch):
+        # a NaN in the first over-relaxed sweep's column sums: the solve
+        # neither raises nor keeps it, but redoes that sweep plain from the
+        # iterate before it and stays plain, so it matches the plain sweeps
+        # bit for bit (155 sweeps, where over-relaxed ones converge in 79)
+        calls = []
+
+        class Flaky(np.ndarray):
+            def __matmul__(self, other):
+                out = np.asarray(self) @ other
+                if not self.flags.c_contiguous:  # kernel.T, once per sweep
+                    calls.append(1)
+                    if len(calls) == transport._STALL_EVERY + 1:
+                        out[0] = np.nan
+                return out
+
+        kernel = transport._kernel
+        monkeypatch.setattr(transport, "_kernel", lambda *a: kernel(*a).view(Flaky))
+        d = np.random.default_rng(24).uniform(0, 1, (32, 32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_sinkhorn(d, eps=0.02)
+        t, sweeps, converged = sweeps_only_sinkhorn(d, eps=0.02, relax=False)
+        assert len(calls) == sweeps + 1  # one per plain sweep, and the failed step's
+        assert sol.converged and converged
+        assert sol.iterations == sweeps == 155
+        assert np.array_equal(sol.map, t)
+
+
 # sha256 of the coupling's bytes, the objective, the sweeps and the
 # converged flag of solve_sinkhorn on uniform(0, 1) costs, recorded before
-# the sweep loop dropped its per-sweep checks of kv and ku.  Each case takes
-# one path of the loop; like the CLI Sinkhorn pins, these also fix numpy's
+# the sweep loop dropped its per-sweep checks of kv and ku; "stall and
+# polish" and "exhausts max_iter" were re-recorded when the sweeps past the
+# first stall check became over-relaxed.  Each case takes one path of the
+# loop; like the CLI Sinkhorn pins, these also fix numpy's
 # exp and log, and the BLAS matrix-vector sums, to the last bit.
 SINKHORN_PANEL = {
     "converges early": (
@@ -689,7 +793,7 @@ SINKHORN_PANEL = {
     ),
     "stall and polish": (
         (3, 16, None, 10000),
-        ("c6ae813ae75331de9ae2fb3733315b8d2d3932efbaeb99b3bbb59a84f2ab9996", 0.1019111955097068, 151, True),
+        ("b01d5835be659050539eb840658eb53b439370328d3c5afa17dda91f155072e7", 0.10191119550922725, 201, True),
     ),
     "absorbed": (
         (0, 32, 1e-4, 400),
@@ -697,7 +801,7 @@ SINKHORN_PANEL = {
     ),
     "exhausts max_iter": (
         (8, 64, None, 60),
-        ("d949126bed5408a4ea50aaca8aa32eb6075de9e4b6367c77832f4cbc9ff3ed52", 0.03289208631518161, 60, False),
+        ("3227f59aefa5f4f3c1cc7293f55a631309d78b3e1a40bf77b6ff24f3bc270e7d", 0.03275722996322747, 60, False),
     ),
 }
 
