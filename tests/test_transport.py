@@ -154,9 +154,14 @@ class TestSolveExact:
 
     @pytest.mark.parametrize("kind", ["uniform", "row distance"])
     def test_peak_memory_beyond_the_input(self, kind):
-        # at width 256 the solve holds 1.36-1.42 m^2 float64 beyond its
-        # input; forming the reduced costs as d - u - v in one expression
-        # kept a second m x m temporary alive and peaked at 2.15 m^2
+        # at width 256 the solve peaks at 1.36-1.42 m^2 float64 beyond its
+        # input, all in the tie refinement's peel: the reduced costs
+        # (1 m^2) and their bool zero graph (0.125 m^2) are held while the
+        # peel gathers the dropped columns' and rows' slices of that graph
+        # and sums them (0.21-0.28 m^2).  _jonker_volgenant's column-
+        # permuted cost copy (1.06-1.11 m^2) is freed before them.
+        # Forming the reduced costs as d - u - v in one expression kept a
+        # second m x m temporary alive and peaked at 2.15 m^2
         m = 256
         rng = np.random.default_rng(13)
         if kind == "uniform":

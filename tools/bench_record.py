@@ -4,13 +4,14 @@ time, both trees' source line counts, and the Python, numpy and BLAS
 versions.
 
     python tools/bench_record.py --tag NAME --parent DIR --change DIR \\
-        --runs-dir RUNS [--pairs 3] [--seconds 25] [--seed 0]
+        --runs-dir RUNS [--seed 0]
 
-Each of BENCHMARK.json's workloads runs ``perfbench/run.py --trace 0`` in
-both trees, in alternating pairs (parent first in even pairs, change first
-in odd ones).  Every run's last output line, with ``tree`` and ``pair``
-added, is appended to ``RUNS/<workload>.jsonl``; runs already in that file
-count toward ``--pairs``, so an interrupted record resumes.  Run it from
+Each of BENCHMARK.json's workloads runs ``perfbench/run.py --trace 0`` for
+the file's ``run_seconds`` in both trees, in 10 alternating pairs (parent
+first in even pairs, change first in odd ones), the number of pairs a gain
+claim is judged on.  Every run's last output line, with ``tree`` and
+``pair`` added, is appended to ``RUNS/<workload>.jsonl``; runs already in
+that file count toward the 10, so an interrupted record resumes.  Run it from
 the change's root with the interpreter the benchmark uses; it writes
 ``BENCH_<tag>.json`` there.
 """
@@ -34,6 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from run import src_lines  # noqa: E402  (perfbench/run.py's line count)
 
 TREES = ("parent", "change")
+PAIRS = 10
 
 
 def load_runs(path: Path) -> list[dict]:
@@ -42,14 +44,14 @@ def load_runs(path: Path) -> list[dict]:
     return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
 
 
-def run_pairs(workload: str, dirs: dict, args, path: Path) -> list[dict]:
+def run_pairs(workload: str, dirs: dict, seconds: float, seed: int, path: Path) -> list[dict]:
     runs = load_runs(path)
     with path.open("a") as out:
-        for pair in range(max((r["pair"] for r in runs), default=-1) + 1, args.pairs):
+        for pair in range(max((r["pair"] for r in runs), default=-1) + 1, PAIRS):
             for tree in TREES if pair % 2 == 0 else TREES[::-1]:
                 proc = subprocess.run(
                     [sys.executable, "perfbench/run.py", "--workload", workload,
-                     "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
+                     "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                     cwd=dirs[tree], capture_output=True, text=True,
                 )
                 lines = proc.stdout.strip().splitlines()
@@ -91,8 +93,6 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--runs-dir", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
@@ -101,13 +101,13 @@ def main(argv=None) -> int:
     bench = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
     workloads = {}
     for wl in (w["name"] for w in bench["workloads"]):
-        runs = run_pairs(wl, dirs, args, args.runs_dir / f"{wl}.jsonl")
+        runs = run_pairs(wl, dirs, bench["run_seconds"], args.seed, args.runs_dir / f"{wl}.jsonl")
         workloads[wl] = {tree: medians(runs, tree) for tree in TREES}
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     record = {
         "tag": args.tag,
         "benchmark": {"command": "perfbench/run.py --trace 0", "seed": args.seed,
-                      "seconds": args.seconds, "pairs": args.pairs,
+                      "seconds": bench["run_seconds"], "pairs": PAIRS,
                       "statistic": "median over the runs of each tree"},
         "workloads": workloads,
         "tier1": tier1(dirs["change"]),
