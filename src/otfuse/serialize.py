@@ -20,7 +20,13 @@ Both files are byte for byte what ``json.dump(doc, fh, indent=1)`` followed
 by a newline writes.  ``json`` lays out the document, with every payload
 taken out, and ``_write_json`` only fills the payloads into their empty
 strings: payloads are megabytes of base64, in which no character needs
-escaping, so they skip ``json``'s escape pass.
+escaping, so they skip ``json``'s escape pass.  A payload stays bytes from
+codec to file: ``_encode`` runs ``base64.b64encode`` on the array's own
+buffer, and the writer puts those bytes into a binary-mode file as they
+are, between the pieces of ``json``'s ASCII text, with no ``tobytes`` copy
+of the array and no decode or re-encode of the base64.  On the way back,
+``_decode`` hands the payload string from ``json`` to ``base64.b64decode``
+with ``validate=True``, which accepts only valid base64.
 
 ``read_json`` is the one reader of a JSON input file, checkpoints and
 architecture files alike.  ``checkpoint_from_dict`` reads only the
@@ -49,12 +55,13 @@ FORMAT_VERSION = 1
 _PAYLOAD_KEYS = frozenset({"w", "b", "coupling"})
 # the point between the quotes of a payload key's empty string in json's
 # text; a quote inside any JSON string is escaped, so nothing else matches
-_SLOT = re.compile("|".join(f'(?<="{key}": ")(?=")' for key in sorted(_PAYLOAD_KEYS)))
+_SLOT = re.compile("|".join(f'(?<="{key}": ")(?=")' for key in sorted(_PAYLOAD_KEYS)).encode())
 
 
-def encode_float64(arr: np.ndarray) -> str:
-    """Base64 of the array's little-endian float64 values in row-major order."""
-    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
+def _encode(arr: np.ndarray) -> bytes:
+    """Base64 of the array's little-endian float64 values in row-major order,
+    read from the array's own buffer."""
+    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def _decode(text: str, count: int, what: str) -> np.ndarray:
@@ -71,6 +78,13 @@ def _decode(text: str, count: int, what: str) -> np.ndarray:
 
 
 def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
+    """The checkpoint file's document, its payloads base64 text."""
+    return _checkpoint_doc(ckpt, lambda arr: _encode(arr).decode("ascii"))
+
+
+def _checkpoint_doc(ckpt: Checkpoint, encode) -> dict:
+    """The checkpoint file's document, each array turned into its payload by
+    ``encode``."""
     return {
         "format_version": FORMAT_VERSION,
         "meta": {
@@ -82,7 +96,7 @@ def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
             {"in_dim": s.in_dim, "out_dim": s.out_dim, "activation": s.activation}
             for s in ckpt.specs
         ],
-        "layers": [{"w": encode_float64(l.w), "b": encode_float64(l.b)} for l in ckpt.layers],
+        "layers": [{"w": encode(l.w), "b": encode(l.b)} for l in ckpt.layers],
     }
 
 
@@ -160,18 +174,20 @@ def _take_payloads(value, payloads: list):
 
 
 def _write_json(doc: dict, path) -> None:
-    """Write ``doc`` as ``json.dump(doc, fh, indent=1)`` and a newline would,
-    each payload unescaped between the quotes of its empty string."""
+    """Write ``doc``, whose payloads are ``_encode``'s bytes, as
+    ``json.dump(doc, fh, indent=1)`` and a newline would write it with each
+    payload decoded to ASCII: each payload goes between the quotes of its
+    empty string as it is."""
     payloads = []
-    pieces = _SLOT.split(json.dumps(_take_payloads(doc, payloads), indent=1))
-    with open(path, "w", encoding="utf-8") as fh:
-        for piece, payload in zip(pieces, [*payloads, "\n"], strict=True):
+    pieces = _SLOT.split(json.dumps(_take_payloads(doc, payloads), indent=1).encode())
+    with open(path, "wb") as fh:
+        for piece, payload in zip(pieces, [*payloads, b"\n"], strict=True):
             fh.write(piece)
             fh.write(payload)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    _write_json(checkpoint_to_dict(ckpt), path)
+    _write_json(_checkpoint_doc(ckpt, _encode), path)
 
 
 def save_maps(layers, path) -> None:
@@ -180,7 +196,7 @@ def save_maps(layers, path) -> None:
     _write_json(
         {
             "format_version": 1,
-            "maps": [{"side": layer.side, "coupling": encode_float64(layer.map)} for layer in layers],
+            "maps": [{"side": layer.side, "coupling": _encode(layer.map)} for layer in layers],
             "objectives": [layer.objective for layer in layers],
         },
         path,

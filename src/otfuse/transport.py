@@ -52,7 +52,7 @@ from .errors import NumericalError, SinkhornUnderflowError, ValidationError, che
 MARGINAL_TOL = 1e-8
 BRUTE_FORCE_MAX_SIDE = 8
 _ABSORB_ABOVE = 1e50  # Sinkhorn scalings past this fold into the log potentials
-_STALL_EVERY = 50  # sweeps between checks that the row residual still halves
+_STALL_EVERY = 50  # sweeps between checks that the row residual still falls at pace
 _NEWTON_STEPS = 50  # cap on the steps of one Newton polish
 _HALVINGS = 30  # cap on the line search of one Newton step
 _RIDGE = 1e-12  # Schur diagonal added, relative to its largest entry
@@ -579,12 +579,15 @@ def solve_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: 
 
     Near a hard assignment the sweeps converge slowly, so every
     ``_STALL_EVERY`` sweeps the row residual is compared with the last
-    check: if it has not at least halved, the scalings are folded into the
-    potentials and ``_newton_polish`` takes them to marginal residuals of
-    ``tol / 100``, after which the sweeps resume on the rebuilt kernel and
-    their own residual test decides convergence.  The polish runs at most
-    once per solve; where it cannot descend (a singular system, or an
-    underflowed kernel) the sweeps simply carry on.
+    check.  Plain sweeps have stalled if it has not at least halved, and
+    over-relaxed ones (below) if it has not fallen by ``theta **
+    _STALL_EVERY``, the pace measured for plain sweeps.  On a stall the
+    scalings are folded into the potentials and ``_newton_polish`` takes
+    them to marginal residuals of ``tol / 100``, after which the sweeps
+    resume on the rebuilt kernel and their own residual test decides
+    convergence.  The polish runs at most once per solve; where it cannot
+    descend (a singular system, or an underflowed kernel) the sweeps simply
+    carry on.
 
     The first check never stalls.  If its residual r_50 is at most half the
     first sweep's r_1, the sweeps from then on are over-relaxed (Thibault,
@@ -596,11 +599,13 @@ def solve_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: 
     ``(r_50 / r_1) ** (1 / 49)``.  An over-relaxed sweep's columns are not
     exact, so once its row residual reaches ``tol`` a plain column update
     follows and the row residual is tested again: a solve converges on the
-    same test as a plain one.  A later check that stalls returns the loop
-    to plain sweeps and the polish; so does an over-relaxed step that is
-    not finite, which is then redone as a plain sweep from the iterate
-    before it.  A solve that converges before the first check, or whose
-    residual has not halved by then, runs exactly the plain sweeps.
+    same test as a plain one.  Relaxed sweeps that fall behind the plain
+    rate have lost what relaxing was for, so a later check that stalls
+    returns the loop to plain sweeps and the polish.  An over-relaxed step
+    that is not finite also returns it to plain sweeps, redone from the
+    iterate before it and checked by halving.  A solve that converges
+    before the first check, or whose residual has not halved by then, runs
+    exactly the plain sweeps.
 
     ``iterations`` counts sweeps.  Hitting ``max_iter`` sweeps first
     returns the last iterate flagged as unconverged rather than raising.
@@ -666,12 +671,13 @@ def solve_sinkhorn(cost, eps: float | None = None, tol: float = 1e-9, max_iter: 
                 first = residual
             stalled = False
             if not polished and iterations % _STALL_EVERY == 0:
-                stalled = residual > checked / 2
+                # relaxed sweeps must keep the plain sweeps' measured pace
+                stalled = residual > checked * (theta**_STALL_EVERY if omega > 1.0 else 0.5)
                 if iterations == _STALL_EVERY and residual <= first / 2:
                     theta = (residual / first) ** (1 / (_STALL_EVERY - 1))
                     omega = 2 / (1 + math.sqrt(1 - theta))
                 checked = residual
-            if stalled or max(u.max(), v.max()) > _ABSORB_ABOVE:
+            if stalled or np.maximum(u, v).max() > _ABSORB_ABOVE:
                 # a tiny scaling forces a huge one on the other side, so
                 # bounding the maxima keeps both in range
                 f, g = f + np.log(u), g + np.log(v)

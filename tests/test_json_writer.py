@@ -16,7 +16,9 @@ from hypothesis.extra.numpy import arrays
 
 from otfuse.cli import main
 from otfuse.nets import CheckpointMeta, LayerSpec, LayerWeights, make_checkpoint
-from otfuse.serialize import _write_json, checkpoint_to_dict, load_checkpoint, save_checkpoint, save_maps
+from otfuse.serialize import (
+    _checkpoint_doc, _encode, _write_json, checkpoint_to_dict, load_checkpoint, save_checkpoint, save_maps,
+)
 from otfuse.transport import OtSolution
 
 # Free-text tags are joined from pieces json.dump escapes (quote, backslash,
@@ -125,7 +127,9 @@ def _net(seed: int, tag: str):
 # "aligned", so the odd tag reaches only net A's file.  The Sinkhorn files
 # also hold numpy's exp and log of inexact values, to the last bit; they
 # were re-recorded when the sweeps past the first stall check became
-# over-relaxed.
+# over-relaxed, and again when relaxed sweeps stalled against the measured
+# plain rate (both layers 151 -> 101 sweeps; the maps moved by under
+# 1e-10 / m).
 PINNED = {
     "exact": (
         "b6f0f75199c07fd1c9e31a54ca3007aad94dbd09fd809d7b026b24c688f92686",
@@ -134,8 +138,8 @@ PINNED = {
     ),
     "sinkhorn": (
         "b6f0f75199c07fd1c9e31a54ca3007aad94dbd09fd809d7b026b24c688f92686",
-        "f2cbf9da8ede92b0b2eb12b1840fb6bf9f97bd79cc0b3887b8b2526fff91fd4d",
-        "96ff045b8e77193cd789a6ecd8efb6c1a32521d11099bc71faad4b3f55229019",
+        "2cce601feede4e4d790652b7d04b9fd6f99fac9ea848fcb0b62ac59413ea73ee",
+        "3ed9bedf59d0df692452d6a584350160d196a6c3c1af2bc64149bd2e906b40d3",
     ),
     "free-last-layer": (
         "b6f0f75199c07fd1c9e31a54ca3007aad94dbd09fd809d7b026b24c688f92686",
@@ -169,7 +173,7 @@ def test_align_file_bytes_are_pinned(tmp_path, capsys, case, tag, flags):
 def test_writer_keeps_no_reference_to_a_payload(tmp_path):
     """A reference cycle in the writer would keep each payload alive until
     the cycle collector runs; with the collector off, it shows as a count."""
-    doc = checkpoint_to_dict(_net(3, "net"))
+    doc = _checkpoint_doc(_net(3, "net"), _encode)
     payload = doc["layers"][0]["w"]
     gc.disable()
     try:

@@ -557,6 +557,34 @@ class TestSinkhorn:
         validate_transport_map(sol.map)
         assert sol.objective >= solve_exact(d).objective - 1e-9
 
+    @pytest.mark.parametrize("rel_eps, polishes, bound", [(0.3, 0, 5.5), (0.05, 1, 6.5)])
+    def test_peak_memory_beyond_the_input(self, monkeypatch, rel_eps, polishes, bound):
+        # at width 256 the sweeps alone peak at 5.34 m^2 float64 beyond the
+        # input, in _round_to_polytope's rank-one correction: the scaled
+        # cost, the kernel, the unrounded coupling, its row- and
+        # column-scaled copy and the outer product of the deficits.  A
+        # polish peaks at 6.10 m^2 in its line search: the scaled cost, the
+        # loop's kernel, the polish's coupling p, the last trial kernel, and
+        # the next trial's exponent and its exp.  Each bound is the measured
+        # peak plus a small margin (3% and 6%), so a failure means one of
+        # these holders grew or a new m-sized temporary joined them
+        calls = []
+        polish = transport._newton_polish
+        monkeypatch.setattr(transport, "_newton_polish", lambda *a: calls.append(1) or polish(*a))
+        m = 256
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((m, 32))
+        d = transport.row_distance_matrix(x, x[rng.permutation(m)] + 0.3 * rng.standard_normal((m, 32)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sol = solve_sinkhorn(d, eps=rel_eps * float(d.mean()))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sol.converged and len(calls) == polishes
+        assert peak < bound * d.nbytes
+
 
 def gibbs_misfit(t, scaled):
     """Least-squares fit of ``log t_ij + scaled_ij = f_i + g_j`` over the
@@ -755,6 +783,30 @@ class TestOverRelaxation:
         assert np.array_equal(sol.map, t)
         assert not np.array_equal(t, sweeps_only_sinkhorn(d, eps=eps, max_iter=99, relax=False)[0])
 
+    def test_relaxed_sweeps_stall_against_the_measured_rate(self, monkeypatch):
+        # draw 29 of TestSinkhornReference: plain sweeps stall by the third
+        # check and one polish converges the solve at sweep 151.  Relaxed
+        # sweeps from sweep 51 on still halve the residual every check, so
+        # a halving test postponed that polish to sweep 511; measured
+        # against the plain rate theta ** 50, they stall at the second check
+        calls = []
+        polish = transport._newton_polish
+        monkeypatch.setattr(transport, "_newton_polish", lambda *a: calls.append(1) or polish(*a))
+        rng = np.random.default_rng(23)  # replays the reference panel's draws 0-29
+        for k in range(30):
+            m = int(rng.integers(2, 33))
+            if k % 2:
+                d = rng.uniform(0, 1, (m, m))
+            else:
+                x = rng.standard_normal((m, 4))
+                y = x[rng.permutation(m)] + 0.1 * rng.standard_normal((m, 4))
+                d = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2)
+            eps = float(10 ** rng.uniform(-5, 0)) * float(d.mean())
+        assert m == 24 and round(eps / d.mean(), 4) == 0.0425
+        sol = solve_sinkhorn(d, eps=eps, max_iter=1000)
+        assert sol.converged and calls == [1]
+        assert sol.iterations <= 151
+
     def test_non_finite_relaxed_step_falls_back_to_plain_sweeps(self, monkeypatch):
         # a NaN in the first over-relaxed sweep's column sums: the solve
         # neither raises nor keeps it, but redoes that sweep plain from the
@@ -788,7 +840,9 @@ class TestOverRelaxation:
 # converged flag of solve_sinkhorn on uniform(0, 1) costs, recorded before
 # the sweep loop dropped its per-sweep checks of kv and ku; "stall and
 # polish" and "exhausts max_iter" were re-recorded when the sweeps past the
-# first stall check became over-relaxed.  Each case takes one path of the
+# first stall check became over-relaxed, and "stall and polish" again when
+# relaxed sweeps stalled against the measured plain rate (201 -> 151 sweeps;
+# the map moved by under 1e-15 / m).  Each case takes one path of the
 # loop; like the CLI Sinkhorn pins, these also fix numpy's
 # exp and log, and the BLAS matrix-vector sums, to the last bit.
 SINKHORN_PANEL = {
@@ -798,7 +852,7 @@ SINKHORN_PANEL = {
     ),
     "stall and polish": (
         (3, 16, None, 10000),
-        ("b01d5835be659050539eb840658eb53b439370328d3c5afa17dda91f155072e7", 0.10191119550922725, 201, True),
+        ("3dd19c554d17b925b64ca2ceeab1ef905fe3ecefc236e9d248e49cf4a71aebb0", 0.1019111955092272, 151, True),
     ),
     "absorbed": (
         (0, 32, 1e-4, 400),

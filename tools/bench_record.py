@@ -1,7 +1,7 @@
 """Write BENCH_<tag>.json: the benchmark's end-to-end medians for a parent
-checkout and a change checkout, the change's Tier-1 pass count and wall
-time, both trees' source line counts, and the Python, numpy and BLAS
-versions.
+checkout and a change checkout, the two numbers per end-to-end metric that
+judge a gain claim, the change's Tier-1 pass count and wall time, both
+trees' source line counts, and the Python, numpy and BLAS versions.
 
     python tools/bench_record.py --tag NAME --parent DIR --change DIR \\
         --runs-dir RUNS [--seed 0]
@@ -14,6 +14,13 @@ claim is judged on.  Every run's last output line, with ``tree`` and
 that file count toward the 10, so an interrupted record resumes.  Run it from
 the change's root with the interpreter the benchmark uses; it writes
 ``BENCH_<tag>.json`` there.
+
+A gain claim on a metric holds when the change is better, in the direction
+of the metric's ``better`` in BENCHMARK.json, in at least 9 of the 10 pairs,
+and its median is better by more than the interquartile range of the
+parent's runs.  So each workload also records, per end-to-end metric, the
+pairs the change won (a tie wins nothing) and the parent runs' quartile
+spread.
 """
 
 from __future__ import annotations
@@ -74,6 +81,26 @@ def medians(runs: list[dict], tree: str) -> dict:
     }
 
 
+def gain(runs: list[dict], metrics: list[dict]) -> dict:
+    """For each end-to-end metric: the pairs in which both trees ran and the
+    change's value was better than the parent's, out of those pairs, and the
+    interquartile range of the parent's runs (numpy's linear percentiles)."""
+    by_run = {(r["tree"], r["pair"]): r["metrics"] for r in runs if "metrics" in r}
+    out = {}
+    for metric in metrics:
+        name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        values = {key: m[name]["value"] for key, m in by_run.items() if name in m}
+        both = [p for tree, p in values if tree == "parent" and ("change", p) in values]
+        parent = [v for (tree, _), v in values.items() if tree == "parent"]
+        out[name] = {
+            "better": metric["better"],
+            "pairs_won": sum(sign * (values["parent", p] - values["change", p]) > 0 for p in both),
+            "pairs": len(both),
+            "parent_iqr": float(np.subtract(*np.percentile(parent, [75, 25]))) if parent else None,
+        }
+    return out
+
+
 def tier1(root: Path) -> dict:
     start = time.perf_counter()
     proc = subprocess.run(
@@ -102,7 +129,8 @@ def main(argv=None) -> int:
     workloads = {}
     for wl in (w["name"] for w in bench["workloads"]):
         runs = run_pairs(wl, dirs, bench["run_seconds"], args.seed, args.runs_dir / f"{wl}.jsonl")
-        workloads[wl] = {tree: medians(runs, tree) for tree in TREES}
+        workloads[wl] = {**{tree: medians(runs, tree) for tree in TREES},
+                         "gain": gain(runs, bench["end_to_end"])}
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     record = {
         "tag": args.tag,
