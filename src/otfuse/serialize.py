@@ -17,14 +17,15 @@ Payloads are base64-encoded little-endian float64 values in row-major
 order, so ``load(save(x))`` reproduces ``x`` bit-exactly.
 
 Both files are byte for byte what ``json.dump(doc, fh, indent=1)`` followed
-by a newline writes.  ``json`` lays out the document, with every payload
-taken out, and ``_write_json`` only fills the payloads into their empty
-strings: payloads are megabytes of base64, in which no character needs
-escaping, so they skip ``json``'s escape pass.  A payload stays bytes from
-codec to file: ``_encode`` runs ``base64.b64encode`` on the array's own
-buffer, and the writer puts those bytes into a binary-mode file as they
-are, between the pieces of ``json``'s ASCII text, with no ``tobytes`` copy
-of the array and no decode or re-encode of the base64.  On the way back,
+by a newline writes.  ``save_checkpoint`` and ``save_maps`` build the
+document with an empty string in each payload's place and hand
+``_write_json`` the payloads, ``_encode``'s bytes in document order.
+``_write_json`` has ``json`` lay out the document and writes each payload
+between the quotes of its empty string as it is: payloads are megabytes of
+base64, in which no character needs escaping, so they skip ``json``'s
+escape pass.  A payload stays bytes from codec to file: ``_encode`` runs
+``base64.b64encode`` on the array's own buffer, with no ``tobytes`` copy of
+the array and no decode or re-encode of the base64.  On the way back,
 ``_decode`` hands the payload string from ``json`` to ``base64.b64decode``
 with ``validate=True``, which accepts only valid base64.
 
@@ -50,12 +51,10 @@ from .nets import Checkpoint, CheckpointMeta, LayerSpec, LayerWeights, make_chec
 
 FORMAT_VERSION = 1
 
-# the keys whose values are base64 payloads; neither format uses them for
-# anything else
-_PAYLOAD_KEYS = frozenset({"w", "b", "coupling"})
-# the point between the quotes of a payload key's empty string in json's
-# text; a quote inside any JSON string is escaped, so nothing else matches
-_SLOT = re.compile("|".join(f'(?<="{key}": ")(?=")' for key in sorted(_PAYLOAD_KEYS)).encode())
+# the point between the quotes of a payload's empty string in json's text
+# ("w", "b" and "coupling" hold payloads and nothing else); a quote inside
+# any JSON string is escaped, so nothing else matches
+_SLOT = re.compile("|".join(f'(?<="{key}": ")(?=")' for key in ("b", "coupling", "w")).encode())
 
 
 def _encode(arr: np.ndarray) -> bytes:
@@ -75,29 +74,6 @@ def _decode(text: str, count: int, what: str) -> np.ndarray:
         )
     # read-only over ``raw``; the Checkpoint built from it stores its own copy
     return np.frombuffer(raw, dtype="<f8")
-
-
-def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
-    """The checkpoint file's document, its payloads base64 text."""
-    return _checkpoint_doc(ckpt, lambda arr: _encode(arr).decode("ascii"))
-
-
-def _checkpoint_doc(ckpt: Checkpoint, encode) -> dict:
-    """The checkpoint file's document, each array turned into its payload by
-    ``encode``."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "meta": {
-            "seed": int(ckpt.meta.seed),
-            "training_epochs": int(ckpt.meta.training_epochs),
-            "tag": ckpt.meta.tag,
-        },
-        "specs": [
-            {"in_dim": s.in_dim, "out_dim": s.out_dim, "activation": s.activation}
-            for s in ckpt.specs
-        ],
-        "layers": [{"w": encode(l.w), "b": encode(l.b)} for l in ckpt.layers],
-    }
 
 
 def checkpoint_from_dict(doc: dict) -> Checkpoint:
@@ -159,27 +135,12 @@ def check_writable(*paths) -> None:
             os.remove(path)
 
 
-def _take_payloads(value, payloads: list):
-    """``value`` with each payload replaced by "" and appended to ``payloads``,
-    in document order.  Not a closure that calls itself: that reference cycle
-    would keep every payload alive until the cycle collector runs."""
-    if isinstance(value, dict):
-        return {
-            key: payloads.append(item) or "" if key in _PAYLOAD_KEYS else _take_payloads(item, payloads)
-            for key, item in value.items()
-        }
-    if isinstance(value, (list, tuple)):
-        return [_take_payloads(item, payloads) for item in value]
-    return value
-
-
-def _write_json(doc: dict, path) -> None:
-    """Write ``doc``, whose payloads are ``_encode``'s bytes, as
-    ``json.dump(doc, fh, indent=1)`` and a newline would write it with each
-    payload decoded to ASCII: each payload goes between the quotes of its
-    empty string as it is."""
-    payloads = []
-    pieces = _SLOT.split(json.dumps(_take_payloads(doc, payloads), indent=1).encode())
+def _write_json(doc: dict, payloads: list[bytes], path) -> None:
+    """Write ``doc`` as ``json.dump(doc, fh, indent=1)`` and a newline would
+    write it with each payload in place: ``doc`` holds an empty string in
+    each payload's slot, and ``payloads`` holds ``_encode``'s bytes in
+    document order."""
+    pieces = _SLOT.split(json.dumps(doc, indent=1).encode())
     with open(path, "wb") as fh:
         for piece, payload in zip(pieces, [*payloads, b"\n"], strict=True):
             fh.write(piece)
@@ -187,20 +148,31 @@ def _write_json(doc: dict, path) -> None:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    _write_json(_checkpoint_doc(ckpt, _encode), path)
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "meta": {
+            "seed": int(ckpt.meta.seed),
+            "training_epochs": int(ckpt.meta.training_epochs),
+            "tag": ckpt.meta.tag,
+        },
+        "specs": [
+            {"in_dim": s.in_dim, "out_dim": s.out_dim, "activation": s.activation}
+            for s in ckpt.specs
+        ],
+        "layers": [{"w": "", "b": ""} for _ in ckpt.layers],
+    }
+    _write_json(doc, [_encode(a) for layer in ckpt.layers for a in (layer.w, layer.b)], path)
 
 
 def save_maps(layers, path) -> None:
     """Write an alignment's maps file from its per-layer solutions: each
     layer's side and dense coupling, then every objective."""
-    _write_json(
-        {
-            "format_version": 1,
-            "maps": [{"side": layer.side, "coupling": _encode(layer.map)} for layer in layers],
-            "objectives": [layer.objective for layer in layers],
-        },
-        path,
-    )
+    doc = {
+        "format_version": 1,
+        "maps": [{"side": layer.side, "coupling": ""} for layer in layers],
+        "objectives": [layer.objective for layer in layers],
+    }
+    _write_json(doc, [_encode(layer.map) for layer in layers], path)
 
 
 def read_json(path, error=DataFormatError):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import base64
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
+import otfuse
 from otfuse.data import Dataset, DomainMixtureConfig, gen_synthetic
 from otfuse.errors import NumericalError, SinkhornUnderflowError, ValidationError
 from otfuse.nets import (
@@ -30,6 +34,13 @@ from otfuse.transport import (
 )
 
 
+def this_tree_env() -> dict[str, str]:
+    """The environment for a new interpreter that imports this tree's package:
+    its ``src`` directory first on ``PYTHONPATH``."""
+    src = str(Path(otfuse.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def checkpoints_equal(a: Checkpoint, b: Checkpoint) -> bool:
     """Bit-exact equality of specs, weights, and metadata."""
     if a.specs != b.specs or a.meta != b.meta:
@@ -38,6 +49,25 @@ def checkpoints_equal(a: Checkpoint, b: Checkpoint) -> bool:
         np.array_equal(la.w, lb.w) and np.array_equal(la.b, lb.b)
         for la, lb in zip(a.layers, b.layers)
     )
+
+
+def payload_text(arr) -> str:
+    """A payload as the file formats document it: base64 of the array's
+    little-endian float64 values in row-major order."""
+    return base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii")
+
+
+def checkpoint_document(ckpt: Checkpoint) -> dict:
+    """The checkpoint file's documented layout, built from the format
+    itself and not from the writer: ``json.dump(doc, fh, indent=1)`` and a
+    newline are the file's bytes."""
+    return {
+        "format_version": 1,
+        "meta": {"seed": int(ckpt.meta.seed), "training_epochs": int(ckpt.meta.training_epochs),
+                 "tag": ckpt.meta.tag},
+        "specs": [{"in_dim": s.in_dim, "out_dim": s.out_dim, "activation": s.activation} for s in ckpt.specs],
+        "layers": [{"w": payload_text(layer.w), "b": payload_text(layer.b)} for layer in ckpt.layers],
+    }
 
 
 def datasets_equal(a: Dataset, b: Dataset) -> bool:

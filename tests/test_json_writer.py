@@ -1,6 +1,5 @@
 """Checkpoint and maps files: the writer's bytes are json.dump's bytes."""
 
-import base64
 import gc
 import hashlib
 import json
@@ -14,11 +13,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import checkpoint_document, payload_text
 from otfuse.cli import main
 from otfuse.nets import CheckpointMeta, LayerSpec, LayerWeights, make_checkpoint
-from otfuse.serialize import (
-    _checkpoint_doc, _encode, _write_json, checkpoint_to_dict, load_checkpoint, save_checkpoint, save_maps,
-)
+from otfuse.serialize import _encode, _write_json, load_checkpoint, save_checkpoint, save_maps
 from otfuse.transport import OtSolution
 
 # Free-text tags are joined from pieces json.dump escapes (quote, backslash,
@@ -67,10 +65,6 @@ def _solutions(draw):
     return OtSolution(coupling, objective, "sinkhorn", draw(st.integers(0, 100)), draw(st.booleans()))
 
 
-def _base64(arr) -> str:
-    return base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii")
-
-
 def test_checkpoint_bytes_are_json_dump_bytes(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "c.json"
 
@@ -78,7 +72,8 @@ def test_checkpoint_bytes_are_json_dump_bytes(tmp_path_factory):
     @given(_checkpoints())
     def check(ckpt):
         save_checkpoint(ckpt, path)
-        expected = json.dumps(checkpoint_to_dict(ckpt), indent=1) + "\n"
+        # the documented checkpoint format, built independently of the writer
+        expected = json.dumps(checkpoint_document(ckpt), indent=1) + "\n"
         assert path.read_bytes() == expected.encode("utf-8")
         back = load_checkpoint(path)
         assert back.specs == ckpt.specs and back.meta == ckpt.meta
@@ -99,7 +94,7 @@ def test_maps_bytes_are_json_dump_bytes(tmp_path_factory):
         # the documented maps format, built here independently of the writer
         doc = {
             "format_version": 1,
-            "maps": [{"side": layer.side, "coupling": _base64(layer.map)} for layer in layers],
+            "maps": [{"side": layer.side, "coupling": payload_text(layer.map)} for layer in layers],
             "objectives": [layer.objective for layer in layers],
         }
         assert path.read_bytes() == (json.dumps(doc, indent=1) + "\n").encode("utf-8")
@@ -173,12 +168,13 @@ def test_align_file_bytes_are_pinned(tmp_path, capsys, case, tag, flags):
 def test_writer_keeps_no_reference_to_a_payload(tmp_path):
     """A reference cycle in the writer would keep each payload alive until
     the cycle collector runs; with the collector off, it shows as a count."""
-    doc = _checkpoint_doc(_net(3, "net"), _encode)
-    payload = doc["layers"][0]["w"]
+    doc = {"format_version": 1, "maps": [{"side": 3, "coupling": ""}], "objectives": [0.0]}
+    payloads = [_encode(np.eye(3))]
+    payload = payloads[0]
     gc.disable()
     try:
         before = sys.getrefcount(payload)
-        _write_json(doc, tmp_path / "c.json")
+        _write_json(doc, payloads, tmp_path / "c.json")
         after = sys.getrefcount(payload)
     finally:
         gc.enable()

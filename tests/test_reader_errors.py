@@ -7,16 +7,16 @@ import re
 import numpy as np
 import pytest
 
-from helpers import random_checkpoint
+from helpers import checkpoint_document, random_checkpoint
 from otfuse.cli import _load_arch
 from otfuse.data import load_dataset_csv
 from otfuse.errors import CheckpointFormatError, DataFormatError
 from otfuse.scoring import read_hypotheses
-from otfuse.serialize import checkpoint_to_dict, load_checkpoint
+from otfuse.serialize import load_checkpoint
 
 
 def _checkpoint_text(edit):
-    doc = checkpoint_to_dict(random_checkpoint(np.random.default_rng(9)))
+    doc = checkpoint_document(random_checkpoint(np.random.default_rng(9)))
     edit(doc)
     return json.dumps(doc)
 

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 import otfuse.serialize as serialize
-from helpers import checkpoints_equal, random_checkpoint
+from helpers import checkpoint_document, checkpoints_equal, random_checkpoint
 from otfuse.errors import CheckpointFormatError, CheckpointVersionError
 from otfuse.serialize import (
     checkpoint_from_dict,
-    checkpoint_to_dict,
     load_checkpoint,
     save_checkpoint,
 )
@@ -55,7 +54,7 @@ def test_payload_length_mismatch(tmp_path):
     rng = np.random.default_rng(3)
     path = tmp_path / "c.json"
     ckpt = random_checkpoint(rng)
-    doc = checkpoint_to_dict(ckpt)
+    doc = checkpoint_document(ckpt)
     doc["layers"][0]["w"] = base64.b64encode(b"\x00" * 8).decode()
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointFormatError):
@@ -64,7 +63,7 @@ def test_payload_length_mismatch(tmp_path):
 
 def test_bad_base64(tmp_path):
     rng = np.random.default_rng(4)
-    doc = checkpoint_to_dict(random_checkpoint(rng))
+    doc = checkpoint_document(random_checkpoint(rng))
     doc["layers"][0]["b"] = "!!! not base64 !!!"
     with pytest.raises(CheckpointFormatError):
         checkpoint_from_dict(doc)
@@ -72,7 +71,7 @@ def test_bad_base64(tmp_path):
 
 def test_spec_layer_count_disagreement():
     rng = np.random.default_rng(5)
-    doc = checkpoint_to_dict(random_checkpoint(rng, max_layers=2))
+    doc = checkpoint_document(random_checkpoint(rng, max_layers=2))
     doc["specs"].append({"in_dim": 3, "out_dim": 2, "activation": "identity"})
     with pytest.raises(CheckpointFormatError) as exc:
         checkpoint_from_dict(doc)
@@ -81,7 +80,7 @@ def test_spec_layer_count_disagreement():
 def test_non_finite_payload_rejected():
     rng = np.random.default_rng(6)
     ckpt = random_checkpoint(rng, max_layers=1)
-    doc = checkpoint_to_dict(ckpt)
+    doc = checkpoint_document(ckpt)
     bad = np.full(ckpt.specs[0].out_dim, np.nan)
     doc["layers"][0]["b"] = base64.b64encode(bad.astype("<f8").tobytes()).decode()
     with pytest.raises(CheckpointFormatError):
@@ -93,7 +92,7 @@ def test_non_finite_payload_rejected():
 ])
 def test_bad_meta_is_corrupt(tmp_path, field, value):
     rng = np.random.default_rng(7)
-    doc = checkpoint_to_dict(random_checkpoint(rng, max_layers=1))
+    doc = checkpoint_document(random_checkpoint(rng, max_layers=1))
     doc["meta"][field] = value
     path = tmp_path / "c.json"
     path.write_text(json.dumps(doc))
@@ -139,7 +138,7 @@ def test_golden_minimal_one_layer_file(tmp_path):
 def test_wrongly_typed_top_level_field_is_corrupt(field, value):
     """``field`` is a dotted path.  Spec 0 has in_dim 6 and spec 2 out_dim 5,
     so coercing 6.7 or "5" to an int would load without complaint."""
-    doc = checkpoint_to_dict(random_checkpoint(np.random.default_rng(7)))
+    doc = checkpoint_document(random_checkpoint(np.random.default_rng(7)))
     *parents, last = field.split(".")
     target = doc
     for key in parents:
@@ -152,7 +151,7 @@ def test_wrongly_typed_top_level_field_is_corrupt(field, value):
 def test_internal_fault_is_not_reported_as_corrupt(monkeypatch):
     """Only a validation failure means a bad file; any other error is a
     fault of the program and must propagate unchanged."""
-    doc = checkpoint_to_dict(random_checkpoint(np.random.default_rng(8)))
+    doc = checkpoint_document(random_checkpoint(np.random.default_rng(8)))
 
     def broken(*args, **kwargs):
         raise RuntimeError("internal fault")
